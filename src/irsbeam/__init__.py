@@ -6,7 +6,7 @@ squint, and synthesizes delay-adjustable-metasurface phase/delay profiles
 that restore the full beam gain across the band.
 """
 
-from .cli import fraunhofer_distance
+from . import cli  # irsbeam.cli stays reachable after a bare `import irsbeam`
 from .farfield import (
     FarDamDesign,
     far_beam_gain,
@@ -18,7 +18,6 @@ from .farfield import (
 from .model import (
     SPEED_OF_LIGHT,
     Axis,
-    CascadedPath,
     DelayProfile,
     FarFieldTarget,
     GainMap,
@@ -26,15 +25,12 @@ from .model import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    cascaded_far_response,
-    far_steering_vector,
-    near_steering_vector,
+    fraunhofer_distance,
     subcarrier_frequencies,
     subcarrier_frequency,
 )
 from .nearfield import (
     NearDamDesign,
-    element_distances,
     near_beam_gain,
     near_dam_design,
     near_gain_row,
@@ -56,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SPEED_OF_LIGHT",
     "Axis",
-    "CascadedPath",
     "DelayProfile",
     "FarDamDesign",
     "FarFieldTarget",
@@ -70,14 +65,11 @@ __all__ = [
     "SweepSpec",
     "WidebandConfig",
     "angle_sweep",
-    "cascaded_far_response",
-    "element_distances",
     "far_beam_gain",
     "far_beam_gain_profile",
     "far_dam_design",
     "far_optimal_phases",
     "far_squint_direction",
-    "far_steering_vector",
     "fraunhofer_distance",
     "grid_points",
     "load_scenario",
@@ -87,7 +79,6 @@ __all__ = [
     "near_gain_row",
     "near_optimal_phases",
     "near_squint_distance",
-    "near_steering_vector",
     "scenario_from_dict",
     "squint_metrics",
     "subcarrier_frequencies",

@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .farfield import far_dam_design, far_optimal_phases
-from .model import GainMap, WidebandConfig
-from .nearfield import near_dam_design, near_optimal_phases
+from .farfield import far_design
+from .model import GainMap, fraunhofer_distance
+from .nearfield import near_design
 from .scan import (
     angle_sweep,
     location_heatmap,
@@ -34,13 +34,6 @@ EXIT_IO = 3
 
 _FAR_ONLY = {"far-angle-sweep", "far-subcarrier-sweep"}
 _NEAR_ONLY = {"near-subcarrier-sweep", "near-heatmap"}
-
-
-def fraunhofer_distance(aperture_m: float, cfg: WidebandConfig) -> float:
-    """Far-field boundary 2 D^2 / lambda_c for an aperture of size D."""
-    if not np.isfinite(aperture_m) or aperture_m <= 0:
-        raise ValueError(f"aperture_m must be positive, got {aperture_m}")
-    return 2.0 * aperture_m * aperture_m / cfg.wavelength_m
 
 
 def _fmt(x) -> str:
@@ -96,24 +89,10 @@ def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
 
 def _design_profiles(scenario: Scenario):
     """Phase and delay profiles for the scenario's regime and design kind."""
+    use_dam = scenario.design == "dam"
     if scenario.regime == "far":
-        if scenario.design == "dam":
-            design = far_dam_design(
-                scenario.make_array(), scenario.config, scenario.direction()
-            )
-            return design.phases, design.delays, {"design_direction": design.design_direction}
-        phases = far_optimal_phases(scenario.make_array(), scenario.direction())
-        return phases, None, {"design_direction": scenario.direction()}
-    geom = scenario.make_geometry()
-    if scenario.design == "dam":
-        design = near_dam_design(geom, scenario.config)
-        return design.phases, design.delays, {
-            "common_delay_s": design.common_delay_s,
-            "focus_xy": list(design.focus_xy),
-        }
-    return near_optimal_phases(geom, scenario.config), None, {
-        "focus_xy": list(scenario.user_xy)
-    }
+        return far_design(scenario.make_array(), scenario.config, scenario.direction(), use_dam)
+    return near_design(scenario.make_geometry(), scenario.config, use_dam)
 
 
 def _run_design(scenario: Scenario, out_path, out_format) -> dict:

@@ -1,10 +1,11 @@
 """Far-field beam gain, optimal phases, the squint-direction law, and the
 delay-adjustable-metasurface (DAM) co-design that restores full gain band-wide.
 
-Directions are the normalized quantity nu = sin(chi) - sin(psi) and the phase
-progression uses the half-wavelength convention, i.e. the per-element exponent
-is pi (r-1) (1 + f/f_c) nu. That matches the default array geometry; the gain
-therefore depends on the array only through its element count.
+Directions are the normalized quantity nu = sin(chi) - sin(psi). The gain uses
+the package's one phase convention (see :mod:`irsbeam.model`) with the path
+phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
+enters only through its element count, and its spacing ``d`` is ignored until
+ROADMAP item 2 settles the convention.
 """
 
 from __future__ import annotations
@@ -13,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, DelayProfile, IrsArray, PhaseProfile, WidebandConfig
+from .model import (
+    TWO_PI,
+    DelayProfile,
+    FarFieldTarget,
+    IrsArray,
+    PhaseProfile,
+    WidebandConfig,
+    _array_gain,
+    checked_frequencies,
+)
 
 
 @dataclass(frozen=True)
@@ -30,11 +40,6 @@ class FarDamDesign:
     design_direction: float
 
 
-def _check_direction(direction: float) -> None:
-    if not np.isfinite(direction) or abs(direction) > 2.0:
-        raise ValueError(f"direction must lie in [-2, 2], got {direction}")
-
-
 def far_beam_gain(
     array: IrsArray,
     cfg: WidebandConfig,
@@ -48,13 +53,10 @@ def far_beam_gain(
     With ``delays`` omitted, tau_r = 0 (phase-shift-only IRS). The result lies
     in [0, R].
     """
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    _check_direction(direction)
-    grid = far_beam_gain_profile(
-        array, cfg, np.array([freq_hz]), np.array([direction]), phases, delays
+    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
+    return float(
+        far_beam_gain_profile(array, cfg, [freq_hz], [direction], phases, delays)[0, 0]
     )
-    return float(grid[0, 0])
 
 
 def far_beam_gain_profile(
@@ -67,35 +69,19 @@ def far_beam_gain_profile(
 ) -> np.ndarray:
     """Vectorized gain over a (frequency x direction) grid; shape (F, N).
 
-    One row is evaluated at a time so memory stays proportional to a single
-    direction grid row. Same formula as :func:`far_beam_gain`.
+    Same formula as :func:`far_beam_gain`, evaluated in bounded-memory chunks.
     """
-    if len(phases) != array.n_elements:
-        raise ValueError(
-            f"phase profile length {len(phases)} does not match array R={array.n_elements}"
-        )
-    if delays is not None and len(delays) != array.n_elements:
-        raise ValueError(
-            f"delay profile length {len(delays)} does not match array R={array.n_elements}"
-        )
-    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    directions = np.asarray(directions, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1)
     r = np.arange(array.n_elements, dtype=np.float64)
-    out = np.empty((freqs_hz.size, directions.size))
-    for i, f in enumerate(freqs_hz):
-        # (N, R) exponent for this frequency row
-        exponent = phases.phases[None, :] - np.pi * np.outer(
-            directions, r * (1.0 + f / cfg.carrier_hz)
-        )
-        if delays is not None:
-            exponent = exponent - TWO_PI * f * delays.delays[None, :]
-        out[i] = np.abs(np.exp(1j * exponent).sum(axis=1))
-    return out
+    return _array_gain(
+        cfg, array.n_elements, freqs_hz, directions.size,
+        lambda lo, hi: np.outer(directions[lo:hi], r), np.pi, phases, delays,
+    )
 
 
 def far_optimal_phases(array: IrsArray, direction: float) -> PhaseProfile:
     """Phase profile 2 pi (r-1) nu0 that maximizes the gain at (f_c, nu0)."""
-    _check_direction(direction)
+    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
     r = np.arange(array.n_elements, dtype=np.float64)
     return PhaseProfile(TWO_PI * r * direction)
 
@@ -106,8 +92,7 @@ def far_squint_direction(design_direction: float, freq_hz: float, carrier_hz: fl
     Returns 2 nu0 / (1 + f/f_c); equals nu0 exactly at the carrier, and drifts
     away from it as f departs from f_c (the far-field beam squint law).
     """
-    if freq_hz <= 0 or carrier_hz <= 0:
-        raise ValueError("freq_hz and carrier_hz must be positive")
+    checked_frequencies([freq_hz, carrier_hz])
     return 2.0 * design_direction / (1.0 + freq_hz / carrier_hz)
 
 
@@ -119,7 +104,7 @@ def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> Fa
     phases[r] = pi (r-1) nu0. At nu = nu0 the residual exponent vanishes for
     every subcarrier, so the gain equals R across the whole band.
     """
-    _check_direction(direction)
+    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
     r = np.arange(array.n_elements, dtype=np.float64)
     if direction <= 0:
         delays = -r * direction / (2.0 * cfg.carrier_hz)
@@ -129,3 +114,17 @@ def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> Fa
     return FarDamDesign(
         phases=phases, delays=DelayProfile(delays), design_direction=float(direction)
     )
+
+
+def far_design(
+    array: IrsArray, cfg: WidebandConfig, direction: float, use_dam: bool = False
+) -> tuple[PhaseProfile, DelayProfile | None, dict]:
+    """Profiles of the design toward ``direction`` and a summary for artifacts.
+
+    ``use_dam`` selects the joint phase/delay design over the phase-only
+    optimum, whose delay profile is None.
+    """
+    if use_dam:
+        design = far_dam_design(array, cfg, direction)
+        return design.phases, design.delays, {"design_direction": design.design_direction}
+    return far_optimal_phases(array, direction), None, {"design_direction": direction}

@@ -1,4 +1,4 @@
-"""Shared domain types, the subcarrier grid, geometry, and steering vectors.
+"""Shared domain types, the subcarrier grid, geometry, and the gain kernel.
 
 Conventions used throughout the package:
 
@@ -10,6 +10,16 @@ Conventions used throughout the package:
 * the ULA lies along the +x axis and all geometry is 2-D;
 * every type is immutable after construction and every operation is a pure
   function, so concurrent use needs no synchronization.
+
+One phase convention serves both regimes. The beam gain of phase profile phi
+and delay profile tau toward a target at frequency f is
+
+    |sum_r exp(j [phi_r - (1 + f/f_c) P_r - 2 pi f tau_r])|
+
+where P_r is the frequency-flat path phase of element r. In the far field
+P_r = pi (r-1) nu: the half-wavelength progression, so the spacing ``d`` is
+ignored there (ROADMAP item 2). In the near field
+P_r = (2 pi / lambda_c)(d_r^BR + d_r^target), from the exact distances.
 """
 
 from __future__ import annotations
@@ -124,35 +134,47 @@ class NearFieldGeometry:
     """BS, user and IRS element coordinates for the near-field (spherical) model.
 
     Element r (1-based) sits at ``(x_origin + (r-1) * spacing, y_origin)``.
-    Construction rejects a BS or user coincident with any element.
+    Construction rejects a BS or user coincident with any element, and keeps
+    the element x-coordinates and the element-to-BS and element-to-user
+    distances (each of length R).
     """
 
     bs_xy: tuple[float, float]
     user_xy: tuple[float, float]
     irs_origin_xy: tuple[float, float]
     array: IrsArray
+    element_x: np.ndarray = field(init=False, repr=False, compare=False)
+    bs_distances: np.ndarray = field(init=False, repr=False, compare=False)
+    user_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_xy", (float(self.bs_xy[0]), float(self.bs_xy[1])))
-        object.__setattr__(self, "user_xy", (float(self.user_xy[0]), float(self.user_xy[1])))
-        object.__setattr__(
-            self, "irs_origin_xy", (float(self.irs_origin_xy[0]), float(self.irs_origin_xy[1]))
-        )
+        for name in ("bs_xy", "user_xy", "irs_origin_xy"):
+            px, py = getattr(self, name)
+            object.__setattr__(self, name, (float(px), float(py)))
+        x = self.irs_origin_xy[0] + np.arange(self.array.n_elements) * self.array.spacing_m
+        object.__setattr__(self, "element_x", _readonly(x))
         for label, point in (("BS", self.bs_xy), ("user", self.user_xy)):
-            d = self.element_distances(point)
-            if np.any(d <= 0.0):
-                raise ValueError(f"{label} at {point} coincides with an IRS element")
+            try:
+                distances = self.element_distances(point)
+            except ValueError:
+                raise ValueError(f"{label} at {point} coincides with an IRS element") from None
+            object.__setattr__(self, f"{label.lower()}_distances", _readonly(distances))
 
-    def element_positions(self) -> np.ndarray:
-        """(R, 2) element coordinates along the +x axis."""
-        x0, y0 = self.irs_origin_xy
-        r = np.arange(self.array.n_elements)
-        return np.column_stack((x0 + r * self.array.spacing_m, np.full(r.shape, y0)))
+    def element_distances(self, points_xy) -> np.ndarray:
+        """Euclidean distance from every element to each point.
 
-    def element_distances(self, point_xy) -> np.ndarray:
-        """Euclidean distance from every element to ``point_xy`` (length R)."""
-        pos = self.element_positions()
-        return np.hypot(pos[:, 0] - point_xy[0], pos[:, 1] - point_xy[1])
+        ``points_xy`` is one ``[x, y]`` point, giving shape (R,), or an (N, 2)
+        array of points, giving (N, R). Raises on a point coincident with any
+        element.
+        """
+        points = np.asarray(points_xy, dtype=np.float64)
+        d = np.hypot(
+            points[..., 0, None] - self.element_x, points[..., 1, None] - self.irs_origin_xy[1]
+        )
+        if np.any(d <= 0.0):
+            bad = points.reshape(-1, 2)[np.argmin(d.reshape(-1, d.shape[-1]).min(axis=1))]
+            raise ValueError(f"point {tuple(bad.tolist())} coincides with an IRS element")
+        return d
 
 
 @dataclass(frozen=True)
@@ -194,22 +216,6 @@ class DelayProfile:
 
     def __len__(self) -> int:
         return self.delays.size
-
-
-@dataclass(frozen=True)
-class CascadedPath:
-    """One BS-IRS-user path: complex gain, equivalent normalized cascade angle
-    in (-1, 1), and equivalent delay in seconds."""
-
-    gain: complex
-    cascade_angle: float
-    delay_s: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.cascade_angle) or abs(self.cascade_angle) >= 1.0:
-            raise ValueError(f"cascade_angle must lie in (-1, 1), got {self.cascade_angle}")
-        if not np.isfinite(self.delay_s) or self.delay_s < 0.0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
 
 
 @dataclass(frozen=True)
@@ -286,62 +292,64 @@ def subcarrier_frequency(cfg: WidebandConfig, index: int) -> float:
     return float(subcarrier_frequencies(cfg)[index - 1])
 
 
-def far_steering_vector(
-    array: IrsArray, cfg: WidebandConfig, freq_hz: float, direction: float
-) -> np.ndarray:
-    """Far-field (planar wavefront) steering vector at one frequency.
+def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
+    """Resolve the -1 shorthand for the highest subcarrier M; other indices pass."""
+    return cfg.n_subcarriers if index == -1 else index
 
-    Entry r is exp(-j 2 pi (r-1) (d / lambda_c) (1 + f/f_c) nu); entry 1 is
-    exactly 1+0j and every entry has unit modulus.
-    """
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
+
+def fraunhofer_distance(aperture_m: float, cfg: WidebandConfig) -> float:
+    """Far-field boundary 2 D^2 / lambda_c for an aperture of size D."""
+    if not np.isfinite(aperture_m) or aperture_m <= 0:
+        raise ValueError(f"aperture_m must be positive, got {aperture_m}")
+    return 2.0 * aperture_m * aperture_m / cfg.wavelength_m
+
+
+def checked_frequencies(freq_hz) -> np.ndarray:
+    """``freq_hz`` as a float array; raises unless every entry is finite and > 0."""
+    freqs = np.asarray(freq_hz, dtype=np.float64)
+    if not np.all(np.isfinite(freqs) & (freqs > 0)):
         raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    if not np.isfinite(direction) or abs(direction) > 2.0:
-        raise ValueError(f"direction must lie in [-2, 2], got {direction}")
-    r = np.arange(array.n_elements, dtype=np.float64)
-    slope = (array.spacing_m / cfg.wavelength_m) * (1.0 + freq_hz / cfg.carrier_hz) * direction
-    return np.exp(-1j * TWO_PI * r * slope)
+    return freqs
 
 
-def near_steering_vector(
-    geom: NearFieldGeometry, cfg: WidebandConfig, freq_hz: float, target_xy
+KERNEL_CHUNK = 2**14
+"""Element evaluations per chunk of the gain kernel; bounds its temporaries."""
+
+
+def _array_gain(
+    cfg: WidebandConfig,
+    n_elements: int,
+    freqs_hz,
+    n_targets: int,
+    path,
+    wavenumber: float,
+    phases: PhaseProfile,
+    delays: DelayProfile | None = None,
 ) -> np.ndarray:
-    """Near-field (spherical wavefront) steering vector toward a 2-D point.
+    """The beam gain of the module docstring on an (F, N) frequency x target grid.
 
-    Entry r is exp(-j (2 pi / lambda_c) (1 + f/f_c) (d_r^BR + d_r^RU')) with
-    d_r^RU' the element-to-target distance; all entries have unit modulus.
+    P = wavenumber * path(lo, hi), the (hi - lo, R) paths of targets lo..hi-1:
+    (r-1) nu with wavenumber pi (far field) or d_r^BR + d_r^target with
+    2 pi / lambda_c (near field). Chunks hold about KERNEL_CHUNK element
+    evaluations: a block of targets, and for short blocks several frequencies.
     """
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    d_bs = geom.element_distances(geom.bs_xy)
-    d_target = geom.element_distances(target_xy)
-    if np.any(d_target <= 0.0):
-        raise ValueError(f"target {tuple(target_xy)} coincides with an IRS element")
-    k = TWO_PI / cfg.wavelength_m
-    return np.exp(-1j * k * (1.0 + freq_hz / cfg.carrier_hz) * (d_bs + d_target))
-
-
-def cascaded_far_response(
-    paths, array: IrsArray, cfg: WidebandConfig, freq_hz: float
-) -> np.ndarray:
-    """Per-element frequency response of a multipath cascaded BS-IRS-user channel.
-
-    Entry r sums gain * exp(-j 2 pi (r-1) angle (1 + f/f_c)) * exp(-j 2 pi f delay)
-    over all cascaded paths. A single unit-gain zero-delay path reduces to the
-    far-field steering vector at nu = 2 * cascade_angle (half-wavelength spacing).
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("at least one cascaded path is required")
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    r = np.arange(array.n_elements, dtype=np.float64)
-    scale = 1.0 + freq_hz / cfg.carrier_hz
-    out = np.zeros(array.n_elements, dtype=np.complex128)
-    for p in paths:
-        out += (
-            p.gain
-            * np.exp(-1j * TWO_PI * r * p.cascade_angle * scale)
-            * np.exp(-1j * TWO_PI * freq_hz * p.delay_s)
-        )
+    freqs = checked_frequencies(freqs_hz).reshape(-1)
+    for kind, profile in (("phase", phases), ("delay", delays)):
+        if profile is not None and len(profile) != n_elements:
+            raise ValueError(
+                f"{kind} profile length {len(profile)} does not match array R={n_elements}"
+            )
+    scale = wavenumber * (1.0 + freqs / cfg.carrier_hz)
+    out = np.empty((freqs.size, n_targets))
+    n_rows = max(1, KERNEL_CHUNK // n_elements)
+    for lo in range(0, n_targets, n_rows):
+        hi = min(lo + n_rows, n_targets)
+        paths = path(lo, hi)
+        n_freqs = max(1, KERNEL_CHUNK // paths.size)
+        for f0 in range(0, freqs.size, n_freqs):
+            f = slice(f0, f0 + n_freqs)
+            exponent = phases.phases - scale[f, None, None] * paths
+            if delays is not None:
+                exponent -= TWO_PI * freqs[f, None, None] * delays.delays
+            out[f, lo:hi] = np.abs(np.exp(1j * exponent).sum(axis=-1))
     return out

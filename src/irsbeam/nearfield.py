@@ -1,8 +1,10 @@
 """Near-field (spherical wavefront) beam gain, focusing phases, the per-element
 focal-shift diagnostic, and the DAM co-design with exact band-wide refocusing.
 
-Distances are computed in double precision straight from coordinates; no
-Fresnel or Taylor approximation is ever substituted.
+The gain uses the package's one phase convention (see :mod:`irsbeam.model`)
+with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). Distances
+are computed in double precision straight from coordinates; no Fresnel or
+Taylor approximation is ever substituted.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .model import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
+    _array_gain,
+    checked_frequencies,
 )
 
 
@@ -38,17 +42,6 @@ class NearDamDesign:
     focus_xy: tuple[float, float]
 
 
-def element_distances(geom: NearFieldGeometry, point_xy) -> np.ndarray:
-    """Euclidean distance from each IRS element to a 2-D point (length R).
-
-    Raises on a point coincident with any element.
-    """
-    d = geom.element_distances(point_xy)
-    if np.any(d <= 0.0):
-        raise ValueError(f"point {tuple(point_xy)} coincides with an IRS element")
-    return d
-
-
 def near_beam_gain(
     geom: NearFieldGeometry,
     cfg: WidebandConfig,
@@ -62,47 +55,30 @@ def near_beam_gain(
     |sum_r exp(j [phi_r - (2 pi / lambda_c)(1 + f/f_c)(d_r^BR + d_r^RU')
     - 2 pi f tau_r])| with tau_r = 0 when ``delays`` is omitted.
     """
-    d_target = element_distances(geom, target_xy)
-    return float(_near_gain_from_distances(geom, cfg, freq_hz, d_target, phases, delays))
-
-
-def _near_gain_from_distances(geom, cfg, freq_hz, d_target, phases, delays):
-    R = geom.array.n_elements
-    if len(phases) != R:
-        raise ValueError(f"phase profile length {len(phases)} does not match array R={R}")
-    if delays is not None and len(delays) != R:
-        raise ValueError(f"delay profile length {len(delays)} does not match array R={R}")
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    d_bs = geom.element_distances(geom.bs_xy)
-    k = TWO_PI / cfg.wavelength_m
-    # d_target may be (R,) for one point or (N, R) for a row of points
-    exponent = phases.phases - k * (1.0 + freq_hz / cfg.carrier_hz) * (d_bs + d_target)
-    if delays is not None:
-        exponent = exponent - TWO_PI * freq_hz * delays.delays
-    return np.abs(np.exp(1j * exponent).sum(axis=-1))
+    row = near_gain_row(geom, cfg, freq_hz, np.array([target_xy]), phases, delays)
+    return float(row[0])
 
 
 def near_gain_row(
     geom: NearFieldGeometry,
     cfg: WidebandConfig,
-    freq_hz: float,
+    freq_hz,
     targets_xy: np.ndarray,
     phases: PhaseProfile,
     delays: DelayProfile | None = None,
 ) -> np.ndarray:
-    """Vectorized gain over an (N, 2) row of target points.
+    """Vectorized gain over an (N, 2) array of target points.
 
-    Memory stays proportional to one row; 2-D sweeps call this per grid row.
+    ``freq_hz`` is one frequency or an array of them; the result has shape
+    ``np.shape(freq_hz) + (N,)`` and is evaluated in bounded-memory chunks.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
-    pos = geom.element_positions()
-    d_target = np.hypot(
-        targets_xy[:, 0, None] - pos[None, :, 0], targets_xy[:, 1, None] - pos[None, :, 1]
+    gains = _array_gain(
+        cfg, geom.array.n_elements, freq_hz, len(targets_xy),
+        lambda lo, hi: geom.bs_distances + geom.element_distances(targets_xy[lo:hi]),
+        TWO_PI / cfg.wavelength_m, phases, delays,
     )
-    if np.any(d_target <= 0.0):
-        raise ValueError("a target point coincides with an IRS element")
-    return _near_gain_from_distances(geom, cfg, freq_hz, d_target, phases, delays)
+    return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 
 
 def near_optimal_phases(geom: NearFieldGeometry, cfg: WidebandConfig) -> PhaseProfile:
@@ -111,9 +87,9 @@ def near_optimal_phases(geom: NearFieldGeometry, cfg: WidebandConfig) -> PhasePr
     Cancels the carrier-frequency propagation phase exactly, so the gain at
     (f_c, user) is R.
     """
-    d_bs = geom.element_distances(geom.bs_xy)
-    d_user = element_distances(geom, geom.user_xy)
-    return PhaseProfile((2.0 * TWO_PI / cfg.wavelength_m) * (d_bs + d_user))
+    return PhaseProfile(
+        (2.0 * TWO_PI / cfg.wavelength_m) * (geom.bs_distances + geom.user_distances)
+    )
 
 
 def near_squint_distance(
@@ -130,10 +106,9 @@ def near_squint_distance(
     """
     if not 1 <= element <= geom.array.n_elements:
         raise ValueError(f"element must lie in 1..{geom.array.n_elements}, got {element}")
-    if not np.isfinite(freq_hz) or freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive and finite, got {freq_hz}")
-    d_bs = float(geom.element_distances(geom.bs_xy)[element - 1])
-    d_user = float(geom.element_distances(geom.user_xy)[element - 1])
+    checked_frequencies(freq_hz)
+    d_bs = float(geom.bs_distances[element - 1])
+    d_user = float(geom.user_distances[element - 1])
     value = 2.0 * (d_bs + d_user) / (1.0 + freq_hz / cfg.carrier_hz) - d_bs
     if value < 0.0:
         warnings.warn(
@@ -153,12 +128,28 @@ def near_dam_design(geom: NearFieldGeometry, cfg: WidebandConfig) -> NearDamDesi
     into the phase profile. The residual exponent at the user then vanishes at
     every frequency, so the gain equals R across the whole band.
     """
-    d_bs = geom.element_distances(geom.bs_xy)
-    d_user = element_distances(geom, geom.user_xy)
-    propagation_s = (d_bs + d_user) / SPEED_OF_LIGHT
+    path_m = geom.bs_distances + geom.user_distances
+    propagation_s = path_m / SPEED_OF_LIGHT
     common = float(propagation_s.max())
     delays = DelayProfile(common - propagation_s)
-    phases = PhaseProfile((TWO_PI / cfg.wavelength_m) * (d_bs + d_user))
+    phases = PhaseProfile((TWO_PI / cfg.wavelength_m) * path_m)
     return NearDamDesign(
         phases=phases, delays=delays, common_delay_s=common, focus_xy=geom.user_xy
     )
+
+
+def near_design(
+    geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False
+) -> tuple[PhaseProfile, DelayProfile | None, dict]:
+    """Profiles of the design focused on the user and a summary for artifacts.
+
+    ``use_dam`` selects the joint phase/delay design over the phase-only
+    focusing phases, whose delay profile is None.
+    """
+    if use_dam:
+        design = near_dam_design(geom, cfg)
+        return design.phases, design.delays, {
+            "common_delay_s": design.common_delay_s,
+            "focus_xy": list(design.focus_xy),
+        }
+    return near_optimal_phases(geom, cfg), None, {"focus_xy": list(geom.user_xy)}

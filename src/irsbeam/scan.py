@@ -2,16 +2,17 @@
 2-D near-field heatmaps, and scalar squint metrics.
 
 All sweeps emit normalized gain (divided by the element count R, so the
-analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Rows are
-evaluated one at a time, keeping memory proportional to a single grid row.
-Subcarrier selectors are 1-based; index 0 means the exact carrier frequency.
+analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Each sweep
+is one call into the chunked gain kernel, so memory beyond the output stays
+bounded. Subcarrier selectors are 1-based; index 0 means the exact carrier
+frequency and -1 the highest subcarrier.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .farfield import far_beam_gain_profile, far_dam_design, far_optimal_phases
+from .farfield import far_beam_gain_profile, far_design
 from .model import (
     Axis,
     DelayProfile,
@@ -20,10 +21,11 @@ from .model import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
+    resolve_subcarrier,
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from .nearfield import near_dam_design, near_gain_row, near_optimal_phases
+from .nearfield import near_design, near_gain_row
 
 DEFAULT_NU_GRID = (-1.0, 1.0, 1e-3)
 DEFAULT_HEATMAP_HALF_SPAN_M = 0.5
@@ -54,7 +56,7 @@ def angle_sweep(
     ``subcarriers`` lists 1-based indices (0 = carrier); -1 is shorthand for
     the highest subcarrier. ``nu_grid`` is (start, stop, step).
     """
-    subcarriers = [cfg.n_subcarriers if s == -1 else s for s in subcarriers]
+    subcarriers = [resolve_subcarrier(cfg, s) for s in subcarriers]
     if not subcarriers:
         raise ValueError("at least one subcarrier row is required")
     freqs = np.array([subcarrier_frequency(cfg, s) for s in subcarriers])
@@ -78,18 +80,11 @@ def subcarrier_sweep_far(
     ``use_dam`` switches from the phase-only profile to the joint phase/delay
     design, which holds the value at 1 for every subcarrier.
     """
-    if use_dam:
-        design = far_dam_design(array, cfg, design_direction)
-        phases, delays = design.phases, design.delays
-    else:
-        phases, delays = far_optimal_phases(array, design_direction), None
-    freqs = subcarrier_frequencies(cfg)
-    values = (
-        far_beam_gain_profile(
-            array, cfg, freqs, np.array([design_direction]), phases, delays
-        )[:, 0]
-        / array.n_elements
+    phases, delays, _ = far_design(array, cfg, design_direction, use_dam)
+    gains = far_beam_gain_profile(
+        array, cfg, subcarrier_frequencies(cfg), [design_direction], phases, delays
     )
+    values = gains[:, 0] / array.n_elements
     return GainMap(
         axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
         values=values,
@@ -101,18 +96,11 @@ def subcarrier_sweep_near(
     geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False
 ) -> GainMap:
     """Normalized gain at the user across all M subcarriers (near-field)."""
-    if use_dam:
-        design = near_dam_design(geom, cfg)
-        phases, delays = design.phases, design.delays
-    else:
-        phases, delays = near_optimal_phases(geom, cfg), None
-    target = np.array([geom.user_xy])
-    values = np.array(
-        [
-            near_gain_row(geom, cfg, f, target, phases, delays)[0]
-            for f in subcarrier_frequencies(cfg)
-        ]
-    ) / geom.array.n_elements
+    phases, delays, _ = near_design(geom, cfg, use_dam)
+    gains = near_gain_row(
+        geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]), phases, delays
+    )
+    values = gains[:, 0] / geom.array.n_elements
     return GainMap(
         axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
         values=values,
@@ -133,23 +121,16 @@ def location_heatmap(
     The grid spans user +/- half_span in x and y with uniform spacing, so the
     user sits exactly on the center cell. The argmax cell is available via
     :meth:`GainMap.argmax_cell` (ties break row-major to the lowest index).
+    ``subcarrier`` is 1-based (0 = carrier, -1 = highest subcarrier).
     """
-    if use_dam:
-        design = near_dam_design(geom, cfg)
-        phases, delays = design.phases, design.delays
-    else:
-        phases, delays = near_optimal_phases(geom, cfg), None
-    freq = subcarrier_frequency(cfg, subcarrier)
+    phases, delays, _ = near_design(geom, cfg, use_dam)
+    freq = subcarrier_frequency(cfg, resolve_subcarrier(cfg, subcarrier))
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)
     ys = uy + grid_points(-half_span_m, half_span_m, step_m)
-    values = np.empty((xs.size, ys.size))
-    row = np.empty((ys.size, 2))
-    for i, x in enumerate(xs):
-        row[:, 0] = x
-        row[:, 1] = ys
-        values[i] = near_gain_row(geom, cfg, freq, row, phases, delays)
-    values /= geom.array.n_elements
+    cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    gains = near_gain_row(geom, cfg, freq, cells, phases, delays)
+    values = gains.reshape(xs.size, ys.size) / geom.array.n_elements
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),
         values=values,

@@ -19,11 +19,12 @@ Minimal near-field example::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import IrsArray, NearFieldGeometry, WidebandConfig
+from .model import IrsArray, NearFieldGeometry, WidebandConfig, resolve_subcarrier
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
     DEFAULT_HEATMAP_STEP_M,
@@ -137,8 +138,8 @@ class Scenario:
 
 def _require_number(raw: dict, key: str, positive: bool = False) -> float:
     value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"field '{key}' must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"field '{key}' must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ScenarioError(f"field '{key}' must be positive, got {value}")
     return float(value)
@@ -150,8 +151,9 @@ def _require_point(raw: dict, key: str) -> tuple[float, float]:
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(math.isfinite(v) for v in value)
     ):
-        raise ScenarioError(f"field '{key}' must be an [x, y] pair of numbers, got {value!r}")
+        raise ScenarioError(f"field '{key}' must be a finite [x, y] pair, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -164,7 +166,7 @@ def _parse_sweep(raw) -> SweepSpec:
     kwargs = {}
     for key in ("nu_start", "nu_stop", "nu_step", "half_span_m", "step_m"):
         if key in raw:
-            kwargs[key] = _require_number(raw, key)
+            kwargs[key] = _require_number(raw, key, positive=key not in ("nu_start", "nu_stop"))
     if "subcarriers" in raw:
         subs = raw["subcarriers"]
         if not isinstance(subs, list) or not all(
@@ -177,12 +179,7 @@ def _parse_sweep(raw) -> SweepSpec:
         if not isinstance(sub, int) or isinstance(sub, bool):
             raise ScenarioError("sweep field 'subcarrier' must be an integer")
         kwargs["subcarrier"] = sub
-    parsed = SweepSpec(**kwargs)
-    if parsed.nu_step <= 0:
-        raise ScenarioError("sweep field 'nu_step' must be positive")
-    if parsed.step_m <= 0 or parsed.half_span_m <= 0:
-        raise ScenarioError("sweep fields 'half_span_m' and 'step_m' must be positive")
-    return parsed
+    return SweepSpec(**kwargs)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -271,29 +268,18 @@ def scenario_from_dict(raw: dict) -> Scenario:
     out_format = raw.get("format", "csv")
     if out_format not in _FORMATS:
         raise ScenarioError(f"field 'format' must be one of {_FORMATS}, got {out_format!r}")
-    threshold = raw.get("threshold", DEFAULT_THRESHOLD)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise ScenarioError(f"field 'threshold' must be a number, got {threshold!r}")
+    threshold = _require_number(raw, "threshold") if "threshold" in raw else DEFAULT_THRESHOLD
     if not 0.0 < threshold < 1.0:
         raise ScenarioError(f"field 'threshold' must lie in (0, 1), got {threshold}")
 
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else SweepSpec()
     # resolve the -1 shorthand for "highest subcarrier" now that M is known
-    resolved_rows = tuple(m if s == -1 else s for s in sweep.subcarriers)
-    for s in resolved_rows:
+    resolved_rows = tuple(resolve_subcarrier(config, s) for s in sweep.subcarriers)
+    resolved_row = resolve_subcarrier(config, sweep.subcarrier)
+    for s in resolved_rows + (resolved_row,):
         if not 0 <= s <= m:
             raise ScenarioError(f"sweep subcarrier index {s} outside 0..{m}")
-    if not 0 <= (m if sweep.subcarrier == -1 else sweep.subcarrier) <= m:
-        raise ScenarioError(f"sweep subcarrier index {sweep.subcarrier} outside 0..{m}")
-    sweep = SweepSpec(
-        nu_start=sweep.nu_start,
-        nu_stop=sweep.nu_stop,
-        nu_step=sweep.nu_step,
-        subcarriers=resolved_rows,
-        half_span_m=sweep.half_span_m,
-        step_m=sweep.step_m,
-        subcarrier=m if sweep.subcarrier == -1 else sweep.subcarrier,
-    )
+    sweep = replace(sweep, subcarriers=resolved_rows, subcarrier=resolved_row)
 
     return Scenario(
         regime=regime,

@@ -1,9 +1,10 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's own code paths: the Dirichlet kernel is
-the closed-form array factor for a uniform phase progression, and the cascade
-oracle brute-forces the double path sum with per-element delays. Tests compare
-library output against these, never the other way round.
+the closed-form array factor for a uniform phase progression, and the
+near-field oracle sums the spherical-wavefront terms element by element from
+raw coordinates. Tests compare library output against these, never the other
+way round.
 """
 
 import numpy as np
@@ -23,28 +24,6 @@ def dirichlet_gain(n_elements, delta):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(reduced == 0.0, float(n_elements), np.abs(num / den))
     return out if out.ndim else float(out)
-
-
-def cascade_brute_force(n_elements, carrier_hz, freq_hz, legs_bs_irs, legs_irs_user):
-    """Per-element cascaded frequency response from the raw double path sum.
-
-    Each leg is (complex gain, normalized angle in [-1/2, 1/2], base delay in
-    seconds); the per-element delay of a BS-IRS leg grows by angle/f_c per
-    element and an IRS-user leg shrinks by it.
-    """
-    r = np.arange(n_elements, dtype=np.float64)
-    h = np.zeros(n_elements, dtype=np.complex128)
-    for a1, ang1, tau1 in legs_bs_irs:
-        for a2, ang2, tau2 in legs_irs_user:
-            tau_bs = tau1 + r * ang1 / carrier_hz
-            tau_user = tau2 - r * ang2 / carrier_hz
-            h += (
-                a1
-                * a2
-                * np.exp(-2j * np.pi * r * (ang1 - ang2))
-                * np.exp(-2j * np.pi * freq_hz * (tau_bs + tau_user))
-            )
-    return h
 
 
 def near_gain_brute_force(cfg, geom, freq_hz, target_xy, phases, delays=None):

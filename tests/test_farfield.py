@@ -13,6 +13,7 @@ from irsbeam import (
     far_squint_direction,
     subcarrier_frequencies,
 )
+from irsbeam.model import KERNEL_CHUNK
 from oracles import dirichlet_gain
 
 
@@ -98,6 +99,32 @@ class TestBeamGain:
                 np.testing.assert_allclose(
                     grid[i, j], far_beam_gain(array64, cfg200, f, nu, phases), rtol=1e-12
                 )
+
+    def test_multi_chunk_grid_matches_dirichlet_oracle(self, cfg200):
+        # 2001 directions x R = 128 spans 16 kernel chunks per frequency row
+        array = IrsArray.half_wavelength(cfg200, 128)
+        freqs = subcarrier_frequencies(cfg200)[[0, 64, 127]]
+        nu = np.linspace(-1.0, 1.0, 2001)
+        assert nu.size * 128 > 10 * KERNEL_CHUNK
+        phases = far_optimal_phases(array, 0.3)
+        phase_only = far_beam_gain_profile(array, cfg200, freqs, nu, phases)
+        dam = far_dam_design(array, cfg200, 0.3)
+        joint = far_beam_gain_profile(array, cfg200, freqs, nu, dam.phases, dam.delays)
+        for f, row, dam_row in zip(freqs, phase_only, joint):
+            scale = 1 + f / cfg200.carrier_hz
+            np.testing.assert_allclose(
+                row, dirichlet_gain(128, 0.6 - scale * nu), rtol=1e-9, atol=1e-9
+            )
+            # the DAM residual exponent is pi (r-1) (1 + f/f_c) (nu0 - nu)
+            np.testing.assert_allclose(
+                dam_row, dirichlet_gain(128, scale * (0.3 - nu)), rtol=1e-9, atol=1e-9
+            )
+
+    def test_profile_rejects_bad_frequencies(self, array64, cfg200):
+        phases = far_optimal_phases(array64, 0.5)
+        for freqs in ([np.nan, -1.0], [200e9, np.inf], [0.0]):
+            with pytest.raises(ValueError, match="freq_hz"):
+                far_beam_gain_profile(array64, cfg200, freqs, [0.5], phases)
 
     def test_length_mismatch_rejected(self, array64, cfg200):
         with pytest.raises(ValueError, match="length"):

@@ -4,7 +4,6 @@ import pytest
 from irsbeam import (
     SPEED_OF_LIGHT,
     Axis,
-    CascadedPath,
     DelayProfile,
     FarFieldTarget,
     GainMap,
@@ -12,13 +11,13 @@ from irsbeam import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    cascaded_far_response,
-    far_steering_vector,
-    near_steering_vector,
+    far_beam_gain,
+    far_beam_gain_profile,
+    near_beam_gain,
+    near_gain_row,
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from oracles import cascade_brute_force
 
 
 class TestWidebandConfig:
@@ -81,112 +80,98 @@ class TestSubcarrierGrid:
 
 
 class TestFarSteeringVector:
+    """The planar path phase pi (r-1)(1 + f/f_c) nu, observed through the gain."""
+
     def test_broadside_is_all_ones(self, array64, cfg200):
-        a = far_steering_vector(array64, cfg200, cfg200.carrier_hz, 0.0)
-        np.testing.assert_array_equal(a, np.ones(64, dtype=complex))
+        # every entry is 1 at nu = 0, so a zero profile sums to R at any frequency
+        gains = far_beam_gain_profile(
+            array64, cfg200, subcarrier_frequencies(cfg200), [0.0], PhaseProfile(np.zeros(64))
+        )
+        np.testing.assert_array_equal(gains, 64.0)
 
     def test_single_element(self, cfg200):
-        a = far_steering_vector(IrsArray.half_wavelength(cfg200, 1), cfg200, 150e9, 0.7)
-        assert a.shape == (1,) and a[0] == 1 + 0j
+        array = IrsArray.half_wavelength(cfg200, 1)
+        g = far_beam_gain(array, cfg200, 150e9, 0.7, PhaseProfile(np.array([1.3])))
+        np.testing.assert_allclose(g, 1.0, rtol=1e-15)
 
     def test_second_entry_at_carrier_half_direction(self, cfg200):
-        # exponent -2*pi * 1 * (1/2) * 2 * 0.5 = -pi, so entry 2 is -1
-        a = far_steering_vector(IrsArray.half_wavelength(cfg200, 2), cfg200, 200e9, 0.5)
-        np.testing.assert_allclose(a[1], -1.0 + 0j, atol=1e-12)
+        # entry 2 is exp(-j pi (1 + 1) 0.5) = -1, which cancels entry 1
+        array = IrsArray.half_wavelength(cfg200, 2)
+        g = far_beam_gain(array, cfg200, 200e9, 0.5, PhaseProfile(np.zeros(2)))
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_unit_modulus_and_first_entry(self, array64, cfg200):
+        # unit-modulus entries: phases conjugate to the path phase at (f, nu)
+        # co-phase all R elements
         rng = np.random.default_rng(11)
+        r = np.arange(64)
         for _ in range(50):
             f = rng.uniform(0.9, 1.1) * cfg200.carrier_hz
             nu = rng.uniform(-2, 2)
-            a = far_steering_vector(array64, cfg200, f, nu)
-            assert a[0] == 1 + 0j
-            np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
+            phases = PhaseProfile(np.pi * r * (1 + f / cfg200.carrier_hz) * nu)
+            g = far_beam_gain(array64, cfg200, f, nu, phases)
+            np.testing.assert_allclose(g, 64.0, rtol=1e-12)
 
     def test_conjugate_symmetry(self, array64, cfg200):
-        a_pos = far_steering_vector(array64, cfg200, 197e9, 0.8)
-        a_neg = far_steering_vector(array64, cfg200, 197e9, -0.8)
-        np.testing.assert_allclose(a_neg, np.conj(a_pos), atol=1e-14)
+        # a(-nu) = conj(a(nu)): flipping nu and every phase leaves the gain
+        raw = np.random.default_rng(13).uniform(0, 2 * np.pi, 64)
+        g_pos = far_beam_gain(array64, cfg200, 197e9, 0.8, PhaseProfile(raw))
+        g_neg = far_beam_gain(array64, cfg200, 197e9, -0.8, PhaseProfile(-raw))
+        np.testing.assert_allclose(g_neg, g_pos, rtol=1e-12)
 
     @pytest.mark.parametrize("freq,nu", [(np.nan, 0.5), (np.inf, 0.5), (-1e9, 0.5),
                                          (200e9, np.nan), (200e9, 2.5)])
     def test_rejects_bad_inputs(self, array64, cfg200, freq, nu):
         with pytest.raises(ValueError):
-            far_steering_vector(array64, cfg200, freq, nu)
+            far_beam_gain(array64, cfg200, freq, nu, PhaseProfile(np.zeros(64)))
 
 
 class TestNearSteeringVector:
+    """The spherical path phase (2 pi / lambda_c)(1 + f/f_c)(d_r^BR + d_r^target),
+    observed through the gain."""
+
     def test_reference_distances(self, geometry64):
         d_bs = geometry64.element_distances(geometry64.bs_xy)
         d_user = geometry64.element_distances(geometry64.user_xy)
         assert d_bs[0] == np.sqrt(2.0)
         assert d_user[0] == np.sqrt(5.0)
+        np.testing.assert_array_equal(geometry64.bs_distances, d_bs)
+        np.testing.assert_array_equal(geometry64.user_distances, d_user)
 
     def test_unit_modulus(self, geometry64, cfg200):
-        b = near_steering_vector(geometry64, cfg200, 197e9, (2.0, 0.5))
-        np.testing.assert_allclose(np.abs(b), 1.0, atol=1e-12)
+        # phases conjugate to the path phase at (f, target) co-phase all R elements
+        f, target = 197e9, (2.0, 0.5)
+        path = geometry64.bs_distances + geometry64.element_distances(target)
+        k = 2 * np.pi / cfg200.wavelength_m
+        phases = PhaseProfile(k * (1 + f / cfg200.carrier_hz) * path)
+        g = near_beam_gain(geometry64, cfg200, f, target, phases)
+        np.testing.assert_allclose(g, 64.0, rtol=1e-9)
 
     def test_coincident_target_rejected(self, geometry64, cfg200):
+        phases = PhaseProfile(np.zeros(64))
         with pytest.raises(ValueError, match="coincides"):
-            near_steering_vector(geometry64, cfg200, 200e9, (1.0, 1.0))
+            near_beam_gain(geometry64, cfg200, 200e9, (1.0, 1.0), phases)
+        on_element = (geometry64.element_x[5], 1.0)
+        with pytest.raises(ValueError, match=r"point \(.*\) coincides"):
+            near_gain_row(geometry64, cfg200, 200e9, [(2.0, 0.0), on_element], phases)
 
     def test_matches_longhand_phase(self, geometry64, cfg200):
         f = 199e9
         target = (2.5, -0.25)
-        b = near_steering_vector(geometry64, cfg200, f, target)
+        phases = PhaseProfile(np.random.default_rng(17).uniform(0, 2 * np.pi, 64))
         d_bs = geometry64.element_distances(geometry64.bs_xy)
         d_t = geometry64.element_distances(target)
-        expected = np.exp(
-            -1j * (2 * np.pi / cfg200.wavelength_m) * (1 + f / cfg200.carrier_hz) * (d_bs + d_t)
-        )
-        np.testing.assert_allclose(b, expected, atol=1e-12)
+        expected = np.abs(np.sum(np.exp(1j * (
+            phases.phases
+            - (2 * np.pi / cfg200.wavelength_m) * (1 + f / cfg200.carrier_hz) * (d_bs + d_t)
+        ))))
+        g = near_beam_gain(geometry64, cfg200, f, target, phases)
+        np.testing.assert_allclose(g, expected, rtol=1e-10)
 
-
-class TestCascadedResponse:
-    def test_single_unit_path_equals_steering_vector(self, array64, cfg200):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            angle = rng.uniform(-0.99, 0.99)
-            f = rng.uniform(0.95, 1.05) * cfg200.carrier_hz
-            h = cascaded_far_response(
-                [CascadedPath(gain=1.0, cascade_angle=angle, delay_s=0.0)],
-                array64, cfg200, f,
-            )
-            a = far_steering_vector(array64, cfg200, f, 2.0 * angle)
-            np.testing.assert_allclose(h, a, atol=1e-10)
-
-    def test_two_half_paths_equal_one(self, array64, cfg200):
-        path = dict(cascade_angle=0.3, delay_s=2e-9)
-        h2 = cascaded_far_response(
-            [CascadedPath(gain=0.5, **path), CascadedPath(gain=0.5, **path)],
-            array64, cfg200, 201e9,
-        )
-        h1 = cascaded_far_response([CascadedPath(gain=1.0, **path)], array64, cfg200, 201e9)
-        np.testing.assert_allclose(h2, h1, atol=1e-14)
-
-    def test_empty_path_list_rejected(self, array64, cfg200):
-        with pytest.raises(ValueError, match="at least one"):
-            cascaded_far_response([], array64, cfg200, 200e9)
-
-    def test_matches_brute_force_double_sum(self, array64, cfg200):
-        rng = np.random.default_rng(17)
-        legs_bs = [
-            (rng.normal() + 1j * rng.normal(), rng.uniform(-0.5, 0.5), rng.uniform(0, 5e-9))
-            for _ in range(2)
-        ]
-        legs_user = [
-            (rng.normal() + 1j * rng.normal(), rng.uniform(-0.5, 0.5), rng.uniform(0, 5e-9))
-            for _ in range(2)
-        ]
-        f = 198.5e9
-        expected = cascade_brute_force(64, cfg200.carrier_hz, f, legs_bs, legs_user)
-        paths = [
-            CascadedPath(gain=a1 * a2, cascade_angle=g1 - g2, delay_s=t1 + t2)
-            for a1, g1, t1 in legs_bs
-            for a2, g2, t2 in legs_user
-        ]
-        h = cascaded_far_response(paths, array64, cfg200, f)
-        np.testing.assert_allclose(h, expected, rtol=1e-9, atol=1e-9)
+    @pytest.mark.parametrize("freq", [np.nan, np.inf, -1e9, [200e9, np.nan]])
+    def test_rejects_bad_frequencies(self, geometry64, cfg200, freq):
+        with pytest.raises(ValueError, match="freq_hz"):
+            near_gain_row(geometry64, cfg200, freq, [(3.0, 0.0)], PhaseProfile(np.zeros(64)))
 
 
 class TestProfilesAndTypes:
@@ -204,12 +189,6 @@ class TestProfilesAndTypes:
     def test_delay_profile_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             DelayProfile(np.array([1e-12, -1e-12]))
-
-    def test_cascaded_path_bounds(self):
-        with pytest.raises(ValueError):
-            CascadedPath(gain=1.0, cascade_angle=1.0, delay_s=0.0)
-        with pytest.raises(ValueError):
-            CascadedPath(gain=1.0, cascade_angle=0.5, delay_s=-1e-12)
 
     def test_far_field_target_from_angles(self):
         t = FarFieldTarget.from_angles(np.pi / 3, -np.pi / 4)
@@ -231,10 +210,11 @@ class TestProfilesAndTypes:
             )
 
     def test_element_positions_step_by_spacing(self, geometry64):
-        pos = geometry64.element_positions()
-        assert pos.shape == (64, 2)
-        np.testing.assert_allclose(np.diff(pos[:, 0]), geometry64.array.spacing_m, rtol=1e-12)
-        assert np.all(pos[:, 1] == 1.0)
+        x = geometry64.element_x
+        assert x.shape == (64,) and x[0] == 1.0
+        np.testing.assert_allclose(np.diff(x), geometry64.array.spacing_m, rtol=1e-12)
+        # every element lies on the line y = 1, so a point on it is |dx| away
+        np.testing.assert_array_equal(geometry64.element_distances((0.0, 1.0)), x)
 
 
 class TestGainMap:

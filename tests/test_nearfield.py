@@ -8,7 +8,6 @@ from irsbeam import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    element_distances,
     near_beam_gain,
     near_dam_design,
     near_gain_row,
@@ -22,15 +21,20 @@ from oracles import near_gain_brute_force
 
 class TestElementDistances:
     def test_reference_values(self, geometry64):
-        assert element_distances(geometry64, (0.0, 0.0))[0] == np.sqrt(2.0)
-        assert element_distances(geometry64, (3.0, 0.0))[0] == np.sqrt(5.0)
+        assert geometry64.element_distances((0.0, 0.0))[0] == np.sqrt(2.0)
+        assert geometry64.element_distances((3.0, 0.0))[0] == np.sqrt(5.0)
+        rows = geometry64.element_distances([(0.0, 0.0), (3.0, 0.0)])
+        assert rows.shape == (2, 64)
+        np.testing.assert_array_equal(rows[1], geometry64.element_distances((3.0, 0.0)))
 
     def test_coincident_point_rejected(self, geometry64):
-        with pytest.raises(ValueError, match="coincides"):
-            element_distances(geometry64, (1.0, 1.0))
+        with pytest.raises(ValueError, match=r"point \(1.0, 1.0\) coincides"):
+            geometry64.element_distances((1.0, 1.0))
+        with pytest.raises(ValueError, match=r"point \(1.0, 1.0\) coincides"):
+            geometry64.element_distances([(3.0, 0.0), (1.0, 1.0)])
 
     def test_monotone_for_point_left_of_array_on_its_line(self, geometry64):
-        d = element_distances(geometry64, (0.0, 1.0))
+        d = geometry64.element_distances((0.0, 1.0))
         assert np.all(np.diff(d) > 0)
 
 
@@ -79,6 +83,26 @@ class TestBeamGain:
                 value, near_beam_gain(geometry64, cfg200, 199e9, point, phases), rtol=1e-12
             )
 
+    def test_multi_chunk_row_matches_longhand_sum(self, cfg200):
+        # R = 256 leaves 64 targets per kernel chunk: 300 points span 5 chunks,
+        # and all 128 subcarriers at one point span 2 frequency chunks
+        geom = make_geometry(cfg200, 256)
+        rng = np.random.default_rng(43)
+        phases = PhaseProfile(rng.uniform(0, 2 * np.pi, 256))
+        delays = DelayProfile(rng.uniform(0, 1e-9, 256))
+        targets = np.column_stack((rng.uniform(2.5, 3.5, 300), rng.uniform(-0.5, 0.5, 300)))
+        row = near_gain_row(geom, cfg200, 199e9, targets, phases, delays)
+        assert row.shape == (300,)
+        for i in range(0, 300, 23):
+            expected = near_gain_brute_force(cfg200, geom, 199e9, targets[i], phases, delays)
+            np.testing.assert_allclose(row[i], expected, rtol=1e-9)
+        freqs = subcarrier_frequencies(cfg200)
+        column = near_gain_row(geom, cfg200, freqs, targets[:1], phases, delays)
+        assert column.shape == (128, 1)
+        for j in range(0, 128, 9):
+            expected = near_gain_brute_force(cfg200, geom, freqs[j], targets[0], phases, delays)
+            np.testing.assert_allclose(column[j, 0], expected, rtol=1e-9)
+
     def test_profile_length_mismatch_rejected(self, geometry64, cfg200):
         with pytest.raises(ValueError, match="length"):
             near_beam_gain(geometry64, cfg200, 200e9, (3.0, 0.0), PhaseProfile(np.zeros(8)))
@@ -107,7 +131,7 @@ class TestOptimalPhases:
 
 class TestSquintDistance:
     def test_carrier_returns_user_distance(self, geometry64, cfg200):
-        d_user = element_distances(geometry64, geometry64.user_xy)
+        d_user = geometry64.element_distances(geometry64.user_xy)
         for r in (1, 32, 64):
             np.testing.assert_allclose(
                 near_squint_distance(geometry64, cfg200, cfg200.carrier_hz, r),
@@ -116,15 +140,15 @@ class TestSquintDistance:
             )
 
     def test_higher_frequency_pulls_focus_inward(self, geometry64, cfg200):
-        d_user = element_distances(geometry64, geometry64.user_xy)
+        d_user = geometry64.element_distances(geometry64.user_xy)
         d = near_squint_distance(geometry64, cfg200, 1.02 * cfg200.carrier_hz, 1)
         assert d < d_user[0]
 
     def test_stationarity_identity(self, geometry64, cfg200):
         # 2 (d_bs + d_user) == (1 + f/f_c)(d_bs + d') at the returned distance
         f1 = subcarrier_frequencies(cfg200)[0]
-        d_bs = element_distances(geometry64, geometry64.bs_xy)
-        d_user = element_distances(geometry64, geometry64.user_xy)
+        d_bs = geometry64.element_distances(geometry64.bs_xy)
+        d_user = geometry64.element_distances(geometry64.user_xy)
         for r in (1, 17, 64):
             d = near_squint_distance(geometry64, cfg200, f1, r)
             lhs = 2 * (d_bs[r - 1] + d_user[r - 1])
@@ -155,8 +179,8 @@ class TestDamDesign:
 
     def test_delays_follow_path_length_profile(self, geometry64, cfg200):
         design = near_dam_design(geometry64, cfg200)
-        d_bs = element_distances(geometry64, geometry64.bs_xy)
-        d_user = element_distances(geometry64, geometry64.user_xy)
+        d_bs = geometry64.element_distances(geometry64.bs_xy)
+        d_user = geometry64.element_distances(geometry64.user_xy)
         sums = d_bs + d_user
         np.testing.assert_allclose(
             design.delays.delays, (sums.max() - sums) / SPEED_OF_LIGHT, rtol=1e-9, atol=1e-24

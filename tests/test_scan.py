@@ -129,6 +129,21 @@ class TestSubcarrierSweepNear:
 
 
 class TestLocationHeatmap:
+    def test_highest_subcarrier_shorthand_agrees_with_angle_sweep(
+        self, geometry64, array64, cfg200
+    ):
+        grid = dict(half_span_m=0.02, step_m=0.005)
+        np.testing.assert_array_equal(
+            location_heatmap(geometry64, cfg200, subcarrier=-1, **grid).values,
+            location_heatmap(geometry64, cfg200, subcarrier=128, **grid).values,
+        )
+        gm = angle_sweep(
+            array64, cfg200, far_optimal_phases(array64, 0.5),
+            subcarriers=(-1, 128), nu_grid=(0.0, 1.0, 1e-2),
+        )
+        assert gm.axes[0].points.tolist() == [128, 128]
+        np.testing.assert_array_equal(gm.values[0], gm.values[1])
+
     def test_carrier_argmax_on_user(self, geometry64, cfg200):
         gm = location_heatmap(geometry64, cfg200, subcarrier=0, half_span_m=0.1, step_m=0.005)
         cell = gm.argmax_cell()

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -12,12 +13,13 @@ from irsbeam import (
     Axis,
     GainMap,
     ScenarioError,
+    fraunhofer_distance,
     load_scenario,
     scenario_from_dict,
     squint_metrics,
     subcarrier_sweep_far,
 )
-from irsbeam.cli import fraunhofer_distance, main, read_gain_map_csv
+from irsbeam.cli import main, read_gain_map_csv
 
 PRESET_NAMES = ["fig2a", "fig2c", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
 
@@ -112,6 +114,30 @@ class TestScenarioLoading:
     def test_invalid_fields_rejected(self, patch, match):
         with pytest.raises(ScenarioError, match=match):
             scenario_from_dict({**MINIMAL_FAR, **patch})
+
+    @pytest.mark.parametrize(
+        "body,field",
+        [
+            pytest.param({**MINIMAL_FAR, "nu0": math.nan}, "nu0", id="nu0"),
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_start": math.nan}}, "nu_start",
+                         id="nu_start"),
+            pytest.param({**MINIMAL_FAR, "d": math.inf}, "d", id="d"),
+            pytest.param({**MINIMAL_FAR, "f_c": math.inf}, "f_c", id="f_c"),
+            pytest.param({**MINIMAL_FAR, "threshold": math.nan}, "threshold", id="threshold"),
+            pytest.param({**MINIMAL_NEAR, "bs": [math.nan, 0.0]}, "bs", id="bs"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": math.inf}}, "step_m",
+                         id="step_m"),
+        ],
+    )
+    def test_non_finite_number_rejected_at_load(self, tmp_path, capsys, body, field):
+        # json writes and reads NaN and Infinity, so such files reach the loader
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ScenarioError, match=f"field '{field}' must be a finite"):
+            load_scenario(path)
+        out = tmp_path / "out.json"
+        assert main(["metrics", "--scenario", str(path), "--out", str(out)]) == 2
+        assert f"field '{field}' must be a finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_presets_load(self):
         for name in PRESET_NAMES:
