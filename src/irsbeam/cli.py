@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,6 +122,10 @@ def _run_design(scenario: Scenario, out_path, out_format) -> dict:
 def _run_sweep(subcommand, scenario: Scenario, out_path, out_format, grid_step) -> dict:
     use_dam = scenario.design == "dam"
     sweep = scenario.sweep
+    if grid_step is not None:
+        if not (np.isfinite(grid_step) and grid_step > 0):
+            raise ScenarioError(f"--grid-step must be positive, got {grid_step}")
+        sweep = replace(sweep, nu_step=grid_step, step_m=grid_step)
     meta = {"subcommand": subcommand, "regime": scenario.regime, "design": scenario.design}
     if subcommand == "far-angle-sweep":
         phases, delays, extra = _design_profiles(scenario)
@@ -130,7 +135,7 @@ def _run_sweep(subcommand, scenario: Scenario, out_path, out_format, grid_step) 
             phases,
             delays,
             subcarriers=sweep.subcarriers,
-            nu_grid=(sweep.nu_start, sweep.nu_stop, grid_step or sweep.nu_step),
+            nu_grid=(sweep.nu_start, sweep.nu_stop, sweep.nu_step),
         )
         meta |= extra
     elif subcommand == "far-subcarrier-sweep":
@@ -148,7 +153,7 @@ def _run_sweep(subcommand, scenario: Scenario, out_path, out_format, grid_step) 
             subcarrier=sweep.subcarrier,
             use_dam=use_dam,
             half_span_m=sweep.half_span_m,
-            step_m=grid_step or sweep.step_m,
+            step_m=sweep.step_m,
         )
         cell = gm.argmax_cell()
         meta |= {

@@ -72,10 +72,15 @@ def far_beam_gain_profile(
     Same formula as :func:`far_beam_gain`, evaluated in bounded-memory chunks.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1)
-    r = np.arange(array.n_elements, dtype=np.float64)
+
+    def powers(lo, hi, scale, out):
+        # z^0 .. z^(R-1) of z = exp(-j s nu): one exp per (frequency, direction)
+        out[..., 0] = 1.0
+        out[..., 1:] = np.exp(-1j * (scale[:, None] * directions[lo:hi]))[..., None]
+        np.cumprod(out, axis=-1, out=out)
+
     return _array_gain(
-        cfg, array.n_elements, freqs_hz, directions.size,
-        lambda lo, hi: np.outer(directions[lo:hi], r), np.pi, phases, delays,
+        cfg, array.n_elements, freqs_hz, directions.size, powers, np.pi, phases, delays
     )
 
 

@@ -73,9 +73,13 @@ def near_gain_row(
     ``np.shape(freq_hz) + (N,)`` and is evaluated in bounded-memory chunks.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
+
+    def exps(lo, hi, scale, out):
+        paths = geom.bs_distances + geom.element_distances(targets_xy[lo:hi])
+        np.exp(np.multiply(-1j * scale[:, None, None], paths, out=out), out=out)
+
     gains = _array_gain(
-        cfg, geom.array.n_elements, freq_hz, len(targets_xy),
-        lambda lo, hi: geom.bs_distances + geom.element_distances(targets_xy[lo:hi]),
+        cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
         TWO_PI / cfg.wavelength_m, phases, delays,
     )
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))

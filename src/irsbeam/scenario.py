@@ -22,9 +22,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
-from .model import IrsArray, NearFieldGeometry, WidebandConfig, resolve_subcarrier
+from .model import FarFieldTarget, IrsArray, NearFieldGeometry, WidebandConfig, resolve_subcarrier
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
     DEFAULT_HEATMAP_STEP_M,
@@ -74,9 +72,7 @@ class Scenario:
     n_elements: int
     spacing_m: float
     design: str = "phases_only"
-    nu0: float | None = None
-    arrival_rad: float | None = None
-    departure_rad: float | None = None
+    target: FarFieldTarget | None = None
     bs_xy: tuple[float, float] | None = None
     user_xy: tuple[float, float] | None = None
     irs_origin_xy: tuple[float, float] | None = None
@@ -101,9 +97,7 @@ class Scenario:
         """The far-field design direction nu0 (possibly derived from angles)."""
         if self.regime != "far":
             raise ScenarioError("direction is only defined for far-field scenarios")
-        if self.nu0 is not None:
-            return self.nu0
-        return float(np.sin(self.arrival_rad) - np.sin(self.departure_rad))
+        return self.target.direction
 
     def to_dict(self) -> dict:
         out = {
@@ -119,11 +113,10 @@ class Scenario:
             "format": self.out_format,
         }
         if self.regime == "far":
-            if self.nu0 is not None:
-                out["nu0"] = self.nu0
-            if self.arrival_rad is not None:
-                out["chi"] = self.arrival_rad
-                out["psi"] = self.departure_rad
+            out["nu0"] = self.target.direction
+            if self.target.arrival_rad is not None:
+                out["chi"] = self.target.arrival_rad
+                out["psi"] = self.target.departure_rad
         else:
             out["bs"] = list(self.bs_xy)
             out["user"] = list(self.user_xy)
@@ -136,25 +129,47 @@ class Scenario:
             fh.write("\n")
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal too large for a float
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _require_number(raw: dict, key: str, positive: bool = False) -> float:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ScenarioError(f"field '{key}' must be a finite number, got {value!r}")
+    value = _finite(raw[key])
+    if value is None:
+        raise ScenarioError(f"field '{key}' must be a finite number, got {raw[key]!r}")
     if positive and not value > 0:
         raise ScenarioError(f"field '{key}' must be positive, got {value}")
-    return float(value)
+    return value
 
 
 def _require_point(raw: dict, key: str) -> tuple[float, float]:
     value = raw[key]
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        or not all(math.isfinite(v) for v in value)
-    ):
+    point = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
+    if len(point) != 2 or None in point:
         raise ScenarioError(f"field '{key}' must be a finite [x, y] pair, got {value!r}")
-    return (float(value[0]), float(value[1]))
+    return point
+
+
+def _far_target(raw: dict) -> FarFieldTarget:
+    """The direction of the 'nu0' field, the 'chi'/'psi' angles, or both."""
+    if ("chi" in raw) != ("psi" in raw):
+        raise ScenarioError("fields 'chi' and 'psi' must be given together")
+    angles = (_require_number(raw, "chi"), _require_number(raw, "psi")) if "chi" in raw else ()
+    nu0 = _require_number(raw, "nu0") if "nu0" in raw else None
+    try:
+        if nu0 is None:
+            return FarFieldTarget.from_angles(*angles)
+        return FarFieldTarget(nu0, *angles)
+    except ValueError as exc:
+        named = ", ".join(f"'{k}'" for k in ("nu0", "chi", "psi") if k in raw)
+        raise ScenarioError(f"far-field target from {named}: {exc}") from exc
 
 
 def _parse_sweep(raw) -> SweepSpec:
@@ -228,25 +243,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"field 'regime' says {raw['regime']!r} but the geometry fields imply {regime!r}"
         )
 
-    nu0 = arrival = departure = None
-    bs = user = origin = None
+    target = bs = user = origin = None
     if regime == "far":
-        if ("chi" in raw) != ("psi" in raw):
-            raise ScenarioError("fields 'chi' and 'psi' must be given together")
-        if "chi" in raw:
-            arrival = _require_number(raw, "chi")
-            departure = _require_number(raw, "psi")
-        if "nu0" in raw:
-            nu0 = _require_number(raw, "nu0")
-            if abs(nu0) > 2.0:
-                raise ScenarioError(f"field 'nu0' must lie in [-2, 2], got {nu0}")
-            if arrival is not None:
-                derived = float(np.sin(arrival) - np.sin(departure))
-                if abs(derived - nu0) > 1e-12:
-                    raise ScenarioError(
-                        f"'nu0' ({nu0}) inconsistent with 'chi'/'psi' "
-                        f"(sin(chi) - sin(psi) = {derived})"
-                    )
+        target = _far_target(raw)
     else:
         for key in ("bs", "user", "irs_origin"):
             if key not in raw:
@@ -287,9 +286,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         n_elements=n_elements,
         spacing_m=spacing,
         design=design,
-        nu0=nu0,
-        arrival_rad=arrival,
-        departure_rad=departure,
+        target=target,
         bs_xy=bs,
         user_xy=user,
         irs_origin_xy=origin,

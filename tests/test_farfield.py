@@ -101,24 +101,28 @@ class TestBeamGain:
                 )
 
     def test_multi_chunk_grid_matches_dirichlet_oracle(self, cfg200):
-        # 2001 directions x R = 128 spans 16 kernel chunks per frequency row
-        array = IrsArray.half_wavelength(cfg200, 128)
-        freqs = subcarrier_frequencies(cfg200)[[0, 64, 127]]
-        nu = np.linspace(-1.0, 1.0, 2001)
-        assert nu.size * 128 > 10 * KERNEL_CHUNK
-        phases = far_optimal_phases(array, 0.3)
-        phase_only = far_beam_gain_profile(array, cfg200, freqs, nu, phases)
-        dam = far_dam_design(array, cfg200, 0.3)
-        joint = far_beam_gain_profile(array, cfg200, freqs, nu, dam.phases, dam.delays)
-        for f, row, dam_row in zip(freqs, phase_only, joint):
-            scale = 1 + f / cfg200.carrier_hz
-            np.testing.assert_allclose(
-                row, dirichlet_gain(128, 0.6 - scale * nu), rtol=1e-9, atol=1e-9
-            )
-            # the DAM residual exponent is pi (r-1) (1 + f/f_c) (nu0 - nu)
-            np.testing.assert_allclose(
-                dam_row, dirichlet_gain(128, scale * (0.3 - nu)), rtol=1e-9, atol=1e-9
-            )
+        # the far kernel builds z^(r-1) by repeated products, whose rounding
+        # grows with r: check every direction in [-2, 2] at the band edges and
+        # the carrier up to R = 1024, over 32 (R = 128) and 251 (R = 1024)
+        # kernel chunks per frequency row
+        freqs = np.array([*subcarrier_frequencies(cfg200)[[0, 127]], cfg200.carrier_hz])
+        nu = np.linspace(-2.0, 2.0, 4001)
+        for n in (128, 1024):
+            array = IrsArray.half_wavelength(cfg200, n)
+            assert nu.size * n > 10 * KERNEL_CHUNK
+            phases = far_optimal_phases(array, 0.3)
+            phase_only = far_beam_gain_profile(array, cfg200, freqs, nu, phases)
+            dam = far_dam_design(array, cfg200, 0.3)
+            joint = far_beam_gain_profile(array, cfg200, freqs, nu, dam.phases, dam.delays)
+            for f, row, dam_row in zip(freqs, phase_only, joint):
+                scale = 1 + f / cfg200.carrier_hz
+                np.testing.assert_allclose(
+                    row, dirichlet_gain(n, 0.6 - scale * nu), rtol=1e-9, atol=1e-9
+                )
+                # the DAM residual exponent is pi (r-1) (1 + f/f_c) (nu0 - nu)
+                np.testing.assert_allclose(
+                    dam_row, dirichlet_gain(n, scale * (0.3 - nu)), rtol=1e-9, atol=1e-9
+                )
 
     def test_profile_rejects_bad_frequencies(self, array64, cfg200):
         phases = far_optimal_phases(array64, 0.5)

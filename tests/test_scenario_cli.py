@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irsbeam
 from irsbeam import (
     Axis,
     GainMap,
@@ -127,6 +129,7 @@ class TestScenarioLoading:
             pytest.param({**MINIMAL_NEAR, "bs": [math.nan, 0.0]}, "bs", id="bs"),
             pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": math.inf}}, "step_m",
                          id="step_m"),
+            pytest.param({**MINIMAL_FAR, "nu0": 10**400}, "nu0", id="nu0-huge-int"),
         ],
     )
     def test_non_finite_number_rejected_at_load(self, tmp_path, capsys, body, field):
@@ -252,6 +255,20 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["values"]) == 5
 
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    @pytest.mark.parametrize(
+        "subcommand,body",
+        [pytest.param("far-angle-sweep", MINIMAL_FAR, id="far"),
+         pytest.param("near-heatmap", MINIMAL_NEAR, id="near")],
+    )
+    def test_non_positive_grid_step_exits_2(self, tmp_path, capsys, subcommand, body, step):
+        scenario = write_scenario(tmp_path, body)
+        out = tmp_path / "sweep.csv"
+        assert main([subcommand, "--scenario", str(scenario), "--out", str(out),
+                     "--grid-step", step]) == 2
+        assert "--grid-step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_incompatible_subcommand_exits_2(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, MINIMAL_NEAR)
         code = main(["far-angle-sweep", "--scenario", str(scenario),
@@ -296,11 +313,14 @@ class TestCli:
 
     def test_module_invocation_subprocess(self, tmp_path):
         out = tmp_path / "design.json"
+        # the child imports the same irsbeam as this test, installed or not
+        package_root = str(Path(irsbeam.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "irsbeam", "design",
              "--scenario", str(preset_path("fig8")), "--out", str(out),
              "--format", "json"],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(out.read_text())
