@@ -4,13 +4,15 @@ Parses a scenario JSON file, dispatches to the design or sweep operations,
 and serializes the result as CSV (one record per grid point, 17 significant
 digits) or JSON ({axes, values, meta}) for external plotting. Exit codes:
 0 success, 2 scenario/subcommand problem, 3 I/O failure.
+
+Each subcommand is one entry of ``_SUBCOMMANDS``: its help text, its handler
+and the optional flags it takes. A ``far-`` or ``near-`` name prefix limits
+the subcommand to scenarios of that regime.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import itertools
 import json
 import sys
 from dataclasses import replace
@@ -33,58 +35,50 @@ EXIT_OK = 0
 EXIT_SCENARIO = 2
 EXIT_IO = 3
 
-_FAR_ONLY = {"far-angle-sweep", "far-subcarrier-sweep"}
-_NEAR_ONLY = {"near-subcarrier-sweep", "near-heatmap"}
+
+def _write(path, out_format, header, columns, payload) -> None:
+    """Write ``columns`` under ``header`` as CSV, or ``payload`` as JSON.
+
+    The CSV table is built only for CSV, from equal-size columns of any shape
+    flattened row-major. Its rows end in CRLF and hold 17 significant digits, which round-trip
+    float64 exactly; the names of a (name, value) object table are written
+    as they are. JSON writes numpy arrays as nested lists.
+    """
+    if out_format == "csv":
+        table = np.column_stack([np.ravel(c) for c in columns])
+        with open(path, "w", newline="") as fh:
+            fmt = ("%s", "%.17g") if table.dtype == object else "%.17g"
+            np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header),
+                       comments="", newline="\r\n")
+    else:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
+            fh.write("\n")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _named(values: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The names and the values of ``values`` as two object columns."""
+    return np.array(list(values), dtype=object), np.array(list(values.values()), dtype=object)
 
 
 def write_gain_map(path, gain_map: GainMap, out_format: str, meta: dict) -> None:
     """Serialize a gain map: CSV has one row per grid point, JSON keeps axes."""
-    if out_format == "csv":
-        header = [ax.name for ax in gain_map.axes] + ["value"]
-        points = [ax.points for ax in gain_map.axes]
-        flat = gain_map.values.ravel()
-        rows = (
-            [_fmt(c) for c in coords] + [_fmt(v)]
-            for coords, v in zip(itertools.product(*points), flat)
-        )
-        _write_csv(path, header, rows)
-    else:
-        _write_json(
-            path,
-            {
-                "axes": [
-                    {"name": ax.name, "unit": ax.unit, "points": ax.points.tolist()}
-                    for ax in gain_map.axes
-                ],
-                "values": gain_map.values.tolist(),
-                "meta": meta | {"normalized": gain_map.normalized},
-            },
-        )
+    axes = gain_map.axes
+    grid = np.meshgrid(*(ax.points for ax in axes), indexing="ij", copy=False)
+    payload = {
+        "axes": [{"name": ax.name, "unit": ax.unit, "points": ax.points} for ax in axes],
+        "values": gain_map.values,
+        "meta": meta | {"normalized": True},
+    }
+    header = [ax.name for ax in axes] + ["value"]
+    _write(path, out_format, header, [*grid, gain_map.values], payload)
 
 
 def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
     """Re-parse a CSV gain map into its column names and value table."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        table = np.array([[float(v) for v in row] for row in reader])
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
     return header, table
 
 
@@ -96,117 +90,97 @@ def _design_profiles(scenario: Scenario):
     return near_design(scenario.make_geometry(), scenario.config, use_dam)
 
 
-def _run_design(scenario: Scenario, out_path, out_format) -> dict:
+def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     phases, delays, extra = _design_profiles(scenario)
-    delay_list = (
-        delays.delays.tolist() if delays is not None else [0.0] * scenario.n_elements
-    )
-    if out_format == "csv":
-        rows = (
-            [str(r + 1), _fmt(p), _fmt(t)]
-            for r, (p, t) in enumerate(zip(phases.phases, delay_list))
-        )
-        _write_csv(out_path, ["element", "phase_rad", "delay_s"], rows)
-    else:
-        _write_json(
-            out_path,
-            {
-                "phases": phases.phases.tolist(),
-                "delays": delay_list,
-                "meta": {"regime": scenario.regime, "design": scenario.design} | extra,
-            },
-        )
+    delay_values = delays.delays if delays is not None else np.zeros(scenario.n_elements)
+    columns = (np.arange(1, scenario.n_elements + 1), phases.phases, delay_values)
+    meta = {"regime": scenario.regime, "design": scenario.design} | extra
+    payload = {"phases": phases.phases, "delays": delay_values, "meta": meta}
+    _write(out_path, out_format, ["element", "phase_rad", "delay_s"], columns, payload)
     return {"elements": scenario.n_elements}
 
 
-def _run_sweep(subcommand, scenario: Scenario, out_path, out_format, grid_step) -> dict:
-    use_dam = scenario.design == "dam"
+def _angle_sweep(scenario: Scenario):
+    phases, delays, extra = _design_profiles(scenario)
     sweep = scenario.sweep
-    if grid_step is not None:
-        if not (np.isfinite(grid_step) and grid_step > 0):
-            raise ScenarioError(f"--grid-step must be positive, got {grid_step}")
-        sweep = replace(sweep, nu_step=grid_step, step_m=grid_step)
-    meta = {"subcommand": subcommand, "regime": scenario.regime, "design": scenario.design}
-    if subcommand == "far-angle-sweep":
-        phases, delays, extra = _design_profiles(scenario)
-        gm = angle_sweep(
-            scenario.make_array(),
-            scenario.config,
-            phases,
-            delays,
-            subcarriers=sweep.subcarriers,
-            nu_grid=(sweep.nu_start, sweep.nu_stop, sweep.nu_step),
-        )
-        meta |= extra
-    elif subcommand == "far-subcarrier-sweep":
-        gm = subcarrier_sweep_far(
-            scenario.make_array(), scenario.config, scenario.direction(), use_dam
-        )
-        meta["design_direction"] = scenario.direction()
-    elif subcommand == "near-subcarrier-sweep":
-        gm = subcarrier_sweep_near(scenario.make_geometry(), scenario.config, use_dam)
-        meta["user_xy"] = list(scenario.user_xy)
-    else:  # near-heatmap
-        gm = location_heatmap(
-            scenario.make_geometry(),
-            scenario.config,
-            subcarrier=sweep.subcarrier,
-            use_dam=use_dam,
-            half_span_m=sweep.half_span_m,
-            step_m=sweep.step_m,
-        )
-        cell = gm.argmax_cell()
-        meta |= {
-            "subcarrier": sweep.subcarrier,
-            "argmax_cell": list(cell),
-            "argmax_xy": [float(gm.axes[0].points[cell[0]]), float(gm.axes[1].points[cell[1]])],
-            "user_xy": list(scenario.user_xy),
-        }
-    write_gain_map(out_path, gm, out_format, meta)
-    return {"points": int(gm.values.size), **{k: meta[k] for k in meta if k != "subcommand"}}
+    nu_grid = (sweep.nu_start, sweep.nu_stop, sweep.nu_step)
+    gm = angle_sweep(scenario.make_array(), scenario.config, phases, delays,
+                     subcarriers=sweep.subcarriers, nu_grid=nu_grid)
+    return gm, extra
 
 
-def _run_metrics(scenario: Scenario, out_path, out_format, threshold) -> dict:
+def _subcarrier_sweep(scenario: Scenario):
+    """Gain per subcarrier at the design direction (far) or the user (near)."""
     use_dam = scenario.design == "dam"
     if scenario.regime == "far":
-        gm = subcarrier_sweep_far(
-            scenario.make_array(), scenario.config, scenario.direction(), use_dam
-        )
-    else:
-        gm = subcarrier_sweep_near(scenario.make_geometry(), scenario.config, use_dam)
-    metrics = squint_metrics(gm, threshold if threshold is not None else scenario.threshold)
-    if out_format == "csv":
-        _write_csv(out_path, ["metric", "value"], ([k, _fmt(v)] for k, v in metrics.items()))
-    else:
-        _write_json(
-            out_path,
-            metrics
-            | {
-                "meta": {
-                    "regime": scenario.regime,
-                    "design": scenario.design,
-                    "threshold": threshold if threshold is not None else scenario.threshold,
-                }
-            },
-        )
+        direction = scenario.direction()
+        gm = subcarrier_sweep_far(scenario.make_array(), scenario.config, direction, use_dam)
+        return gm, {"design_direction": direction}
+    gm = subcarrier_sweep_near(scenario.make_geometry(), scenario.config, use_dam)
+    return gm, {"user_xy": list(scenario.user_xy)}
+
+
+def _heatmap(scenario: Scenario):
+    sweep = scenario.sweep
+    gm = location_heatmap(scenario.make_geometry(), scenario.config, subcarrier=sweep.subcarrier,
+                          use_dam=scenario.design == "dam", half_span_m=sweep.half_span_m,
+                          step_m=sweep.step_m)
+    cell = gm.argmax_cell()
+    argmax_xy = [float(ax.points[i]) for ax, i in zip(gm.axes, cell)]
+    return gm, {"subcarrier": sweep.subcarrier, "argmax_cell": list(cell),
+                "argmax_xy": argmax_xy, "user_xy": list(scenario.user_xy)}
+
+
+def _gain_map(sweep):
+    """A handler that writes the gain map ``sweep(scenario)`` returns with its meta."""
+
+    def handler(subcommand, scenario: Scenario, out_path, out_format) -> dict:
+        gm, extra = sweep(scenario)
+        info = {"regime": scenario.regime, "design": scenario.design} | extra
+        write_gain_map(out_path, gm, out_format, {"subcommand": subcommand} | info)
+        return {"points": int(gm.values.size)} | info
+
+    return handler
+
+
+def _run_metrics(subcommand, scenario: Scenario, out_path, out_format) -> dict:
+    gm, _ = _subcarrier_sweep(scenario)
+    metrics = squint_metrics(gm, scenario.threshold)
+    meta = {"regime": scenario.regime, "design": scenario.design, "threshold": scenario.threshold}
+    _write(out_path, out_format, ["metric", "value"], _named(metrics), metrics | {"meta": meta})
     return metrics
 
 
-def _run_fraunhofer(scenario: Scenario, out_path, out_format) -> dict:
-    aperture = (scenario.n_elements - 1) * scenario.spacing_m
+def _run_fraunhofer(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     if scenario.n_elements == 1:
         raise ScenarioError("fraunhofer needs R >= 2 (a single element has zero aperture)")
+    aperture = (scenario.n_elements - 1) * scenario.spacing_m
     boundary = fraunhofer_distance(aperture, scenario.config)
-    payload = {
-        "aperture_m": aperture,
-        "fraunhofer_distance_m": boundary,
-        "wavelength_m": scenario.config.wavelength_m,
-    }
-    if out_format == "csv":
-        _write_csv(out_path, ["metric", "value"], ([k, _fmt(v)] for k, v in payload.items()))
-    else:
-        _write_json(out_path, payload)
+    payload = {"aperture_m": aperture, "fraunhofer_distance_m": boundary,
+               "wavelength_m": scenario.config.wavelength_m}
+    _write(out_path, out_format, ["metric", "value"], _named(payload), payload)
     return payload
+
+
+_THRESHOLD = ("--threshold", "metrics threshold in (0, 1)")
+_GRID_STEP = ("--grid-step", "override the sweep step (direction units or meters)")
+
+# name -> (help, handler(subcommand, scenario, out_path, out_format), optional (flag, help)s)
+_SUBCOMMANDS = {
+    "design": ("emit the phase/delay profiles for the scenario", _run_design, ()),
+    "far-angle-sweep": ("normalized gain over (subcarrier x direction)",
+                        _gain_map(_angle_sweep), (_GRID_STEP,)),
+    "far-subcarrier-sweep": ("normalized gain at the design direction per subcarrier",
+                             _gain_map(_subcarrier_sweep), ()),
+    "near-subcarrier-sweep": ("normalized gain at the user per subcarrier",
+                              _gain_map(_subcarrier_sweep), ()),
+    "near-heatmap": ("normalized gain over a 2-D grid around the user",
+                     _gain_map(_heatmap), (_GRID_STEP,)),
+    "metrics": ("fraction-above-threshold, min and mean gain of the subcarrier sweep",
+                _run_metrics, (_THRESHOLD,)),
+    "fraunhofer": ("near/far boundary 2 D^2 / lambda for the scenario's aperture",
+                   _run_fraunhofer, ()),
+}
 
 
 def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
@@ -216,18 +190,18 @@ def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
     Returns a small summary dict; raises ScenarioError for an incompatible
     scenario/subcommand pair and OSError for I/O failures.
     """
-    if subcommand in _FAR_ONLY and scenario.regime != "far":
-        raise ScenarioError(f"'{subcommand}' requires a far-field scenario")
-    if subcommand in _NEAR_ONLY and scenario.regime != "near":
-        raise ScenarioError(f"'{subcommand}' requires a near-field scenario")
-    out_format = out_format or scenario.out_format
-    if subcommand == "design":
-        return _run_design(scenario, out_path, out_format)
-    if subcommand == "metrics":
-        return _run_metrics(scenario, out_path, out_format, threshold)
-    if subcommand == "fraunhofer":
-        return _run_fraunhofer(scenario, out_path, out_format)
-    return _run_sweep(subcommand, scenario, out_path, out_format, grid_step)
+    regime = subcommand.partition("-")[0]
+    if regime in ("far", "near") and scenario.regime != regime:
+        raise ScenarioError(f"'{subcommand}' requires a {regime}-field scenario")
+    if grid_step is not None:
+        if not (np.isfinite(grid_step) and grid_step > 0):
+            raise ScenarioError(f"--grid-step must be positive, got {grid_step}")
+        sweep = replace(scenario.sweep, nu_step=grid_step, step_m=grid_step)
+        scenario = replace(scenario, sweep=sweep)
+    if threshold is not None:
+        scenario = replace(scenario, threshold=threshold)
+    handler = _SUBCOMMANDS[subcommand][1]
+    return handler(subcommand, scenario, out_path, out_format or scenario.out_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,51 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wideband IRS beam-squint simulator: designs, sweeps and metrics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("design", "emit the phase/delay profiles for the scenario"),
-        ("far-angle-sweep", "normalized gain over (subcarrier x direction)"),
-        ("far-subcarrier-sweep", "normalized gain at the design direction per subcarrier"),
-        ("near-subcarrier-sweep", "normalized gain at the user per subcarrier"),
-        ("near-heatmap", "normalized gain over a 2-D grid around the user"),
-        ("metrics", "fraction-above-threshold, min and mean gain of the subcarrier sweep"),
-        ("fraunhofer", "near/far boundary 2 D^2 / lambda for the scenario's aperture"),
-    ):
+    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output artifact path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
+        p.add_argument("--format", choices=("csv", "json"),
                        help="override the scenario's output format")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="metrics threshold in (0, 1)")
-        p.add_argument("--grid-step", type=float, default=None,
-                       help="override the sweep step (direction units or meters)")
+        for flag, flag_help in flags:
+            p.add_argument(flag, type=float, help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        summary = run(
-            args.subcommand,
-            scenario,
-            args.out,
-            out_format=args.format,
-            threshold=args.threshold,
-            grid_step=args.grid_step,
-        )
-    except FileNotFoundError as exc:
+        summary = run(args.subcommand, load_scenario(args.scenario), args.out,
+                      out_format=args.format, threshold=getattr(args, "threshold", None),
+                      grid_step=getattr(args, "grid_step", None))
+    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         print(f"irsbeam: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ScenarioError as exc:
-        print(f"irsbeam: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except ValueError as exc:
-        print(f"irsbeam: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except OSError as exc:
-        print(f"irsbeam: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_SCENARIO if isinstance(exc, ValueError) else EXIT_IO
     parts = ", ".join(f"{k}={v}" for k, v in summary.items())
     print(f"irsbeam {args.subcommand}: wrote {args.out} ({parts})")
     return EXIT_OK

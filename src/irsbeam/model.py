@@ -250,15 +250,14 @@ NORMALIZED_GAIN_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class GainMap:
-    """Sampled beam-gain surface over one or more axes.
+    """Sampled normalized beam-gain surface over one or more axes.
 
-    ``normalized`` records whether values were divided by the element count R
-    (so the analytic peak is 1) or left as raw magnitudes.
+    Values are gains divided by the element count R, so the analytic peak is
+    1; construction rejects values below 0 or above 1 (plus rounding slack).
     """
 
     axes: tuple[Axis, ...]
     values: np.ndarray
-    normalized: bool = field(default=True)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -267,7 +266,7 @@ class GainMap:
             raise ValueError(f"values shape {values.shape} does not match axes {shape}")
         if np.any(values < 0.0):
             raise ValueError("gain values must be non-negative")
-        if self.normalized and np.any(values > 1.0 + NORMALIZED_GAIN_SLACK):
+        if np.any(values > 1.0 + NORMALIZED_GAIN_SLACK):
             raise ValueError("normalized gain values must not exceed 1")
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "values", _readonly(values))

@@ -68,7 +68,6 @@ def angle_sweep(
             Axis("direction", "sin(chi) - sin(psi)", nu),
         ),
         values=values,
-        normalized=True,
     )
 
 
@@ -88,7 +87,6 @@ def subcarrier_sweep_far(
     return GainMap(
         axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
         values=values,
-        normalized=True,
     )
 
 
@@ -104,7 +102,6 @@ def subcarrier_sweep_near(
     return GainMap(
         axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
         values=values,
-        normalized=True,
     )
 
 
@@ -134,7 +131,6 @@ def location_heatmap(
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),
         values=values,
-        normalized=True,
     )
 
 
@@ -144,8 +140,6 @@ def squint_metrics(gain_map: GainMap, threshold: float = DEFAULT_THRESHOLD) -> d
     Returns the fraction of grid points with value >= threshold, and the
     minimum and mean values. The fraction is non-increasing in the threshold.
     """
-    if not gain_map.normalized:
-        raise ValueError("squint metrics require a normalized gain map")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     values = gain_map.values

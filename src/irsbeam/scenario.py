@@ -31,6 +31,8 @@ from .scan import (
 )
 
 DEFAULT_N_SUBCARRIERS = 128
+MAX_COUNT = 2**20
+"""Largest element count R and subcarrier count M a scenario may ask for."""
 
 _TOP_KEYS = {
     "regime", "f_c", "B", "M", "R", "d", "nu0", "chi", "psi",
@@ -149,6 +151,13 @@ def _require_number(raw: dict, key: str, positive: bool = False) -> float:
     return value
 
 
+def _require_count(raw: dict, key: str, default: int | None = None) -> int:
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_COUNT:
+        raise ScenarioError(f"field '{key}' must be an integer in 1..{MAX_COUNT}, got {value!r}")
+    return value
+
+
 def _require_point(raw: dict, key: str) -> tuple[float, float]:
     value = raw[key]
     point = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
@@ -213,17 +222,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     f_c = _require_number(raw, "f_c", positive=True)
     bandwidth = _require_number(raw, "B", positive=True)
-    m = raw.get("M", DEFAULT_N_SUBCARRIERS)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ScenarioError(f"field 'M' must be an integer >= 1, got {m!r}")
+    m = _require_count(raw, "M", DEFAULT_N_SUBCARRIERS)
     try:
         config = WidebandConfig(carrier_hz=f_c, bandwidth_hz=bandwidth, n_subcarriers=m)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    n_elements = raw["R"]
-    if isinstance(n_elements, bool) or not isinstance(n_elements, int) or n_elements < 1:
-        raise ScenarioError(f"field 'R' must be an integer >= 1, got {n_elements!r}")
+    n_elements = _require_count(raw, "R")
     spacing = (
         _require_number(raw, "d", positive=True) if "d" in raw else config.wavelength_m / 2.0
     )

@@ -221,15 +221,13 @@ class TestGainMap:
     def test_shape_and_bounds_validated(self):
         ax = Axis("subcarrier", "index", np.arange(3))
         with pytest.raises(ValueError, match="shape"):
-            GainMap(axes=(ax,), values=np.zeros(4), normalized=True)
+            GainMap(axes=(ax,), values=np.zeros(4))
         with pytest.raises(ValueError, match="non-negative"):
-            GainMap(axes=(ax,), values=np.array([0.1, -0.2, 0.3]), normalized=True)
+            GainMap(axes=(ax,), values=np.array([0.1, -0.2, 0.3]))
         with pytest.raises(ValueError, match="exceed"):
-            GainMap(axes=(ax,), values=np.array([0.1, 1.5, 0.3]), normalized=True)
-        # raw maps may exceed 1
-        GainMap(axes=(ax,), values=np.array([0.1, 1.5, 64.0]), normalized=False)
+            GainMap(axes=(ax,), values=np.array([0.1, 1.5, 0.3]))
 
     def test_argmax_tie_breaks_row_major(self):
         axes = (Axis("x", "m", np.arange(2)), Axis("y", "m", np.arange(2)))
-        gm = GainMap(axes=axes, values=np.array([[0.5, 1.0], [1.0, 0.5]]), normalized=True)
+        gm = GainMap(axes=axes, values=np.array([[0.5, 1.0], [1.0, 0.5]]))
         assert gm.argmax_cell() == (0, 1)

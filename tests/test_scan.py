@@ -180,7 +180,6 @@ class TestSquintMetrics:
         return GainMap(
             axes=(Axis("subcarrier", "index", np.arange(len(values))),),
             values=np.asarray(values, dtype=float),
-            normalized=True,
         )
 
     def test_all_ones(self):
@@ -191,15 +190,6 @@ class TestSquintMetrics:
         gm = self._map(np.linspace(0.0, 1.0, 101))
         fractions = [squint_metrics(gm, t)["fraction_above"] for t in (0.2, 0.5, 0.8)]
         assert fractions == sorted(fractions, reverse=True)
-
-    def test_requires_normalized_map(self):
-        raw = GainMap(
-            axes=(Axis("subcarrier", "index", np.arange(2)),),
-            values=np.array([3.0, 4.0]),
-            normalized=False,
-        )
-        with pytest.raises(ValueError, match="normalized"):
-            squint_metrics(raw, 0.5)
 
     def test_threshold_bounds(self):
         gm = self._map([0.5])

@@ -111,6 +111,11 @@ class TestScenarioLoading:
             ({"sweep": {"nu_step": -1.0}}, "nu_step"),
             ({"sweep": {"subcarrier": 200}}, "subcarrier"),
             ({"sweep": {"weird": 1}}, "weird"),
+            ({"R": 10**12}, "'R'"),
+            ({"M": 10**12}, "'M'"),
+            ({"R": 10**400}, "'R'"),
+            ({"M": 10**400}, "'M'"),
+            ({"M": 2**20 + 1}, "'M'"),
         ],
     )
     def test_invalid_fields_rejected(self, patch, match):
@@ -269,6 +274,44 @@ class TestCli:
         assert "--grid-step" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand,flag",
+        [("design", "--threshold"), ("metrics", "--grid-step"), ("fraunhofer", "--grid-step")],
+    )
+    def test_flag_outside_its_subcommand_exits_2(self, tmp_path, capsys, subcommand, flag):
+        # --threshold belongs to metrics, --grid-step to the two grid sweeps
+        scenario = write_scenario(tmp_path, MINIMAL_FAR)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--scenario", str(scenario), "--out", str(out), flag, "0.3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # CSV artifacts are a header, CRLF row ends and 17 significant digits,
+        # with integer-valued cells (element and subcarrier indices) written as "1"
+        far = write_scenario(tmp_path, {**MINIMAL_FAR, "R": 4, "M": 4, "design": "dam"}, "f.json")
+        near = write_scenario(
+            tmp_path,
+            {**MINIMAL_NEAR, "R": 4, "M": 4, "design": "dam",
+             "sweep": {"subcarrier": 1, "half_span_m": 0.01, "step_m": 0.005}},
+            "n.json",
+        )
+        expected = {
+            ("design", far): b"element,phase_rad,delay_s\r\n1,0,3.75e-12\r\n"
+            b"2,1.5707963267948966,2.4999999999999998e-12\r\n"
+            b"3,3.1415926535897931,1.2499999999999999e-12\r\n4,4.7123889803846897,0\r\n",
+            ("near-heatmap", near): b"x,y,value\r\n2.9900000000000002,-0.01,0.99982117552",
+            ("far-angle-sweep", far): b"subcarrier,direction,value\r\n1,-1,0.02646684753440",
+        }
+        for (subcommand, scenario), head in expected.items():
+            out = tmp_path / f"{subcommand}.csv"
+            assert main([subcommand, "--scenario", str(scenario), "--out", str(out)]) == 0
+            data = out.read_bytes()
+            assert data.startswith(head), data[: len(head) + 20]
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+
     def test_incompatible_subcommand_exits_2(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, MINIMAL_NEAR)
         code = main(["far-angle-sweep", "--scenario", str(scenario),
@@ -307,7 +350,6 @@ class TestCli:
         rebuilt = GainMap(
             axes=(Axis("subcarrier", "index", table[:, 0]),),
             values=table[:, 1],
-            normalized=True,
         )
         assert squint_metrics(rebuilt, 0.5) == squint_metrics(gm, 0.5)
 
