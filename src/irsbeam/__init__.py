@@ -8,7 +8,6 @@ that restore the full beam gain across the band.
 
 from . import cli  # irsbeam.cli stays reachable after a bare `import irsbeam`
 from .farfield import (
-    FarDamDesign,
     far_beam_gain,
     far_beam_gain_profile,
     far_dam_design,
@@ -19,6 +18,7 @@ from .model import (
     SPEED_OF_LIGHT,
     Axis,
     DelayProfile,
+    Design,
     FarFieldTarget,
     GainMap,
     IrsArray,
@@ -30,12 +30,10 @@ from .model import (
     subcarrier_frequency,
 )
 from .nearfield import (
-    NearDamDesign,
     near_beam_gain,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
-    near_squint_distance,
 )
 from .scan import (
     angle_sweep,
@@ -53,11 +51,10 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "Axis",
     "DelayProfile",
-    "FarDamDesign",
+    "Design",
     "FarFieldTarget",
     "GainMap",
     "IrsArray",
-    "NearDamDesign",
     "NearFieldGeometry",
     "PhaseProfile",
     "Scenario",
@@ -78,7 +75,6 @@ __all__ = [
     "near_dam_design",
     "near_gain_row",
     "near_optimal_phases",
-    "near_squint_distance",
     "scenario_from_dict",
     "squint_metrics",
     "subcarrier_frequencies",

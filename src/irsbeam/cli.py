@@ -29,7 +29,7 @@ from .scan import (
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, check_sweep_grid, load_scenario
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -82,31 +82,29 @@ def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
     return header, table
 
 
-def _design_profiles(scenario: Scenario):
-    """Phase and delay profiles for the scenario's regime and design kind."""
+def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     use_dam = scenario.design == "dam"
     if scenario.regime == "far":
-        return far_design(scenario.make_array(), scenario.config, scenario.direction(), use_dam)
-    return near_design(scenario.make_geometry(), scenario.config, use_dam)
-
-
-def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
-    phases, delays, extra = _design_profiles(scenario)
-    delay_values = delays.delays if delays is not None else np.zeros(scenario.n_elements)
-    columns = (np.arange(1, scenario.n_elements + 1), phases.phases, delay_values)
-    meta = {"regime": scenario.regime, "design": scenario.design} | extra
-    payload = {"phases": phases.phases, "delays": delay_values, "meta": meta}
+        design = far_design(scenario.make_array(), scenario.config, scenario.direction(), use_dam)
+    else:
+        design = near_design(scenario.make_geometry(), scenario.config, use_dam)
+    phases = design.phases.phases
+    delays = design.delays.delays if design.delays is not None else np.zeros(phases.size)
+    columns = (np.arange(1, phases.size + 1), phases, delays)
+    meta = {"regime": scenario.regime, "design": scenario.design} | design.summary
+    payload = {"phases": phases, "delays": delays, "meta": meta}
     _write(out_path, out_format, ["element", "phase_rad", "delay_s"], columns, payload)
     return {"elements": scenario.n_elements}
 
 
 def _angle_sweep(scenario: Scenario):
-    phases, delays, extra = _design_profiles(scenario)
+    array = scenario.make_array()
+    design = far_design(array, scenario.config, scenario.direction(), scenario.design == "dam")
     sweep = scenario.sweep
     nu_grid = (sweep.nu_start, sweep.nu_stop, sweep.nu_step)
-    gm = angle_sweep(scenario.make_array(), scenario.config, phases, delays,
+    gm = angle_sweep(array, scenario.config, design.phases, design.delays,
                      subcarriers=sweep.subcarriers, nu_grid=nu_grid)
-    return gm, extra
+    return gm, design.summary
 
 
 def _subcarrier_sweep(scenario: Scenario):
@@ -194,10 +192,9 @@ def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
     if regime in ("far", "near") and scenario.regime != regime:
         raise ScenarioError(f"'{subcommand}' requires a {regime}-field scenario")
     if grid_step is not None:
-        if not (np.isfinite(grid_step) and grid_step > 0):
-            raise ScenarioError(f"--grid-step must be positive, got {grid_step}")
         sweep = replace(scenario.sweep, nu_step=grid_step, step_m=grid_step)
         scenario = replace(scenario, sweep=sweep)
+        check_sweep_grid(scenario, "--grid-step")
     if threshold is not None:
         scenario = replace(scenario, threshold=threshold)
     handler = _SUBCOMMANDS[subcommand][1]

@@ -10,13 +10,12 @@ ROADMAP item 2 settles the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
     TWO_PI,
     DelayProfile,
+    Design,
     FarFieldTarget,
     IrsArray,
     PhaseProfile,
@@ -24,20 +23,6 @@ from .model import (
     _array_gain,
     checked_frequencies,
 )
-
-
-@dataclass(frozen=True)
-class FarDamDesign:
-    """Joint phase/delay profile steering every subcarrier toward one direction.
-
-    Delays are affine in the element index with slope -nu0 / (2 f_c), shifted
-    on the nu0 > 0 branch so the whole profile stays non-negative; phases are
-    pi (r-1) nu0 wrapped into [0, 2*pi).
-    """
-
-    phases: PhaseProfile
-    delays: DelayProfile
-    design_direction: float
 
 
 def far_beam_gain(
@@ -101,7 +86,7 @@ def far_squint_direction(design_direction: float, freq_hz: float, carrier_hz: fl
     return 2.0 * design_direction / (1.0 + freq_hz / carrier_hz)
 
 
-def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> FarDamDesign:
+def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> Design:
     """Joint phase/delay design with exact gain restoration at every frequency.
 
     delays[r] = -(r-1) nu0 / (2 f_c) for nu0 <= 0, mirrored from the far end
@@ -116,20 +101,18 @@ def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> Fa
     else:
         delays = (array.n_elements - 1 - r) * direction / (2.0 * cfg.carrier_hz)
     phases = PhaseProfile(np.pi * r * direction)
-    return FarDamDesign(
-        phases=phases, delays=DelayProfile(delays), design_direction=float(direction)
-    )
+    return Design(phases, DelayProfile(delays), {"design_direction": float(direction)})
 
 
 def far_design(
     array: IrsArray, cfg: WidebandConfig, direction: float, use_dam: bool = False
-) -> tuple[PhaseProfile, DelayProfile | None, dict]:
-    """Profiles of the design toward ``direction`` and a summary for artifacts.
+) -> Design:
+    """The design that steers the beam toward ``direction``.
 
-    ``use_dam`` selects the joint phase/delay design over the phase-only
-    optimum, whose delay profile is None.
+    ``use_dam`` selects the joint phase/delay design of :func:`far_dam_design`
+    over the phase-only optimum of :func:`far_optimal_phases`, whose delays
+    are None. Either summary holds ``design_direction``.
     """
     if use_dam:
-        design = far_dam_design(array, cfg, direction)
-        return design.phases, design.delays, {"design_direction": design.design_direction}
-    return far_optimal_phases(array, direction), None, {"design_direction": direction}
+        return far_dam_design(array, cfg, direction)
+    return Design(far_optimal_phases(array, direction), None, {"design_direction": direction})

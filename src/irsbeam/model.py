@@ -36,7 +36,9 @@ element by at most 8.4e-14.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -228,6 +230,22 @@ class DelayProfile:
 
     def __len__(self) -> int:
         return self.delays.size
+
+
+@dataclass(frozen=True)
+class Design:
+    """Phase profile, delay profile (None for phase-only, set for DAM) and summary.
+
+    ``summary`` is a read-only copy of the scalars artifacts record: the far
+    ``design_direction``, or the near ``focus_xy`` plus, for DAM, ``common_delay_s``.
+    """
+
+    phases: PhaseProfile
+    delays: DelayProfile | None
+    summary: Mapping[str, object]
+
+    def __post_init__(self):
+        object.__setattr__(self, "summary", MappingProxyType(dict(self.summary)))
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,19 @@ DEFAULT_HEATMAP_STEP_M = 0.005
 DEFAULT_THRESHOLD = 0.5
 
 
-def grid_points(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive uniform grid; the step must be positive and divide the span."""
+def grid_size(start: float, stop: float, step: float) -> int:
+    """Point count of :func:`grid_points`; the step must be positive and divide the span."""
     if not np.isfinite(step) or step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    n = int(round((stop - start) / step))
-    if n < 0 or abs(start + n * step - stop) > 1e-9 * max(abs(stop), abs(start), step):
+    n = np.rint((stop - start) / step)
+    if not n >= 0 or abs(start + n * step - stop) > 1e-9 * max(abs(stop), abs(start), step):
         raise ValueError(f"step {step} does not divide the span [{start}, {stop}]")
-    return start + step * np.arange(n + 1)
+    return int(n) + 1
+
+
+def grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """Inclusive uniform grid; the step must be positive and divide the span."""
+    return start + step * np.arange(grid_size(start, stop, step))
 
 
 def angle_sweep(
@@ -79,9 +84,9 @@ def subcarrier_sweep_far(
     ``use_dam`` switches from the phase-only profile to the joint phase/delay
     design, which holds the value at 1 for every subcarrier.
     """
-    phases, delays, _ = far_design(array, cfg, design_direction, use_dam)
+    design = far_design(array, cfg, design_direction, use_dam)
     gains = far_beam_gain_profile(
-        array, cfg, subcarrier_frequencies(cfg), [design_direction], phases, delays
+        array, cfg, subcarrier_frequencies(cfg), [design_direction], design.phases, design.delays
     )
     values = gains[:, 0] / array.n_elements
     return GainMap(
@@ -94,9 +99,10 @@ def subcarrier_sweep_near(
     geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False
 ) -> GainMap:
     """Normalized gain at the user across all M subcarriers (near-field)."""
-    phases, delays, _ = near_design(geom, cfg, use_dam)
+    design = near_design(geom, cfg, use_dam)
     gains = near_gain_row(
-        geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]), phases, delays
+        geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]),
+        design.phases, design.delays,
     )
     values = gains[:, 0] / geom.array.n_elements
     return GainMap(
@@ -120,13 +126,13 @@ def location_heatmap(
     :meth:`GainMap.argmax_cell` (ties break row-major to the lowest index).
     ``subcarrier`` is 1-based (0 = carrier, -1 = highest subcarrier).
     """
-    phases, delays, _ = near_design(geom, cfg, use_dam)
+    design = near_design(geom, cfg, use_dam)
     freq = subcarrier_frequency(cfg, resolve_subcarrier(cfg, subcarrier))
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)
     ys = uy + grid_points(-half_span_m, half_span_m, step_m)
     cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    gains = near_gain_row(geom, cfg, freq, cells, phases, delays)
+    gains = near_gain_row(geom, cfg, freq, cells, design.phases, design.delays)
     values = gains.reshape(xs.size, ys.size) / geom.array.n_elements
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),

@@ -28,11 +28,14 @@ from .scan import (
     DEFAULT_HEATMAP_STEP_M,
     DEFAULT_NU_GRID,
     DEFAULT_THRESHOLD,
+    grid_size,
 )
 
 DEFAULT_N_SUBCARRIERS = 128
 MAX_COUNT = 2**20
 """Largest element count R and subcarrier count M a scenario may ask for."""
+MAX_GRID_POINTS = 2**22
+"""Most cells a scenario's sweep grid may have: rows x directions (far), x x y (near)."""
 
 _TOP_KEYS = {
     "regime", "f_c", "B", "M", "R", "d", "nu0", "chi", "psi",
@@ -206,6 +209,23 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
+def check_sweep_grid(scenario: Scenario, name: str | None = None) -> None:
+    """Reject the regime's sweep grid, before anything is allocated, unless its
+    step divides the span and it has at most MAX_GRID_POINTS cells. Errors name
+    ``name``, by default the regime's step field."""
+    s, far = scenario.sweep, scenario.regime == "far"
+    name = name or ("field 'nu_step'" if far else "field 'step_m'")
+    try:
+        if far:  # subcarrier rows x directions
+            cells = len(s.subcarriers) * grid_size(s.nu_start, s.nu_stop, s.nu_step)
+        else:  # x x y
+            cells = grid_size(-s.half_span_m, s.half_span_m, s.step_m) ** 2
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+    if cells > MAX_GRID_POINTS:
+        raise ScenarioError(f"{name} gives a sweep grid of {cells} cells, over {MAX_GRID_POINTS}")
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a parsed scenario document and resolve defaults.
 
@@ -285,7 +305,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ScenarioError(f"sweep subcarrier index {s} outside 0..{m}")
     sweep = replace(sweep, subcarriers=resolved_rows, subcarrier=resolved_row)
 
-    return Scenario(
+    scenario = Scenario(
         regime=regime,
         config=config,
         n_elements=n_elements,
@@ -299,6 +319,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         threshold=float(threshold),
         out_format=out_format,
     )
+    check_sweep_grid(scenario)
+    return scenario
+
+
+def _parse_int(literal: str) -> int | float:
+    """A JSON integer literal as an int, or as an infinite float, which every field rejects."""
+    try:
+        return int(literal)
+    except ValueError:  # over Python's 4,300-digit limit for int()
+        return float(literal)
 
 
 def load_scenario(path) -> Scenario:
@@ -310,7 +340,7 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from irsbeam import (
     SPEED_OF_LIGHT,
     Axis,
     DelayProfile,
+    Design,
     FarFieldTarget,
     GainMap,
     IrsArray,
@@ -18,6 +21,8 @@ from irsbeam import (
     subcarrier_frequencies,
     subcarrier_frequency,
 )
+from irsbeam.farfield import far_design
+from irsbeam.nearfield import near_design
 
 
 class TestWidebandConfig:
@@ -215,6 +220,28 @@ class TestProfilesAndTypes:
         np.testing.assert_allclose(np.diff(x), geometry64.array.spacing_m, rtol=1e-12)
         # every element lies on the line y = 1, so a point on it is |dx| away
         np.testing.assert_array_equal(geometry64.element_distances((0.0, 1.0)), x)
+
+    def test_design_summary_is_read_only_copy(self):
+        source = {"design_direction": 0.5}
+        design = Design(PhaseProfile(np.zeros(4)), None, source)
+        source["design_direction"] = 0.0
+        assert design.summary == {"design_direction": 0.5}
+        with pytest.raises(TypeError):
+            design.summary["design_direction"] = 0.1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            design.summary = {}
+
+    def test_phase_only_designs_have_no_delays(self, array64, cfg200, geometry64):
+        for use_dam in (False, True):
+            for design in (far_design(array64, cfg200, 0.5, use_dam),
+                           near_design(geometry64, cfg200, use_dam)):
+                assert isinstance(design, Design)
+                if use_dam:
+                    assert isinstance(design.delays, DelayProfile)
+                else:
+                    assert design.delays is None
+                with pytest.raises(TypeError):
+                    design.summary["extra"] = 1
 
 
 class TestGainMap:

@@ -12,7 +12,6 @@ from irsbeam import (
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
-    near_squint_distance,
     subcarrier_frequencies,
 )
 from conftest import make_geometry
@@ -129,53 +128,13 @@ class TestOptimalPhases:
                 assert g <= peak + 1e-9
 
 
-class TestSquintDistance:
-    def test_carrier_returns_user_distance(self, geometry64, cfg200):
-        d_user = geometry64.element_distances(geometry64.user_xy)
-        for r in (1, 32, 64):
-            np.testing.assert_allclose(
-                near_squint_distance(geometry64, cfg200, cfg200.carrier_hz, r),
-                d_user[r - 1],
-                rtol=1e-15,
-            )
-
-    def test_higher_frequency_pulls_focus_inward(self, geometry64, cfg200):
-        d_user = geometry64.element_distances(geometry64.user_xy)
-        d = near_squint_distance(geometry64, cfg200, 1.02 * cfg200.carrier_hz, 1)
-        assert d < d_user[0]
-
-    def test_stationarity_identity(self, geometry64, cfg200):
-        # 2 (d_bs + d_user) == (1 + f/f_c)(d_bs + d') at the returned distance
-        f1 = subcarrier_frequencies(cfg200)[0]
-        d_bs = geometry64.element_distances(geometry64.bs_xy)
-        d_user = geometry64.element_distances(geometry64.user_xy)
-        for r in (1, 17, 64):
-            d = near_squint_distance(geometry64, cfg200, f1, r)
-            lhs = 2 * (d_bs[r - 1] + d_user[r - 1])
-            rhs = (1 + f1 / cfg200.carrier_hz) * (d_bs[r - 1] + d)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_negative_result_warns(self, geometry64, cfg200):
-        # far enough above the carrier the stationary point has no physical
-        # location; the value is reported with a warning, not clamped
-        with pytest.warns(UserWarning, match="negative"):
-            value = near_squint_distance(geometry64, cfg200, 6 * cfg200.carrier_hz, 1)
-        assert value < 0.0
-
-    def test_element_bounds_checked(self, geometry64, cfg200):
-        for bad in (0, 65):
-            with pytest.raises(ValueError, match="element"):
-                near_squint_distance(geometry64, cfg200, 200e9, bad)
-
-
 class TestDamDesign:
     def test_single_element(self, cfg200):
         geom = make_geometry(cfg200, 1)
         design = near_dam_design(geom, cfg200)
         assert design.delays.delays.tolist() == [0.0]
-        np.testing.assert_allclose(
-            design.common_delay_s, (np.sqrt(2) + np.sqrt(5)) / SPEED_OF_LIGHT, rtol=1e-15
-        )
+        expected = (np.sqrt(2) + np.sqrt(5)) / SPEED_OF_LIGHT
+        np.testing.assert_allclose(design.summary["common_delay_s"], expected, rtol=1e-15)
 
     def test_delays_follow_path_length_profile(self, geometry64, cfg200):
         design = near_dam_design(geometry64, cfg200)

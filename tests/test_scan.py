@@ -17,6 +17,7 @@ from irsbeam import (
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
+from irsbeam.scan import grid_size
 from conftest import make_geometry
 
 
@@ -33,6 +34,14 @@ class TestGridPoints:
             grid_points(0.0, 1.0, 0.3)
         with pytest.raises(ValueError, match="positive"):
             grid_points(0.0, 1.0, -0.1)
+
+    def test_size_counts_points_without_building_them(self):
+        for grid in ((-1.0, 1.0, 0.5), (-1.0, 1.0, 1e-4), (-0.25, 0.25, 0.005), (0.0, 0.0, 1.0)):
+            assert grid_size(*grid) == grid_points(*grid).size
+        assert grid_size(-1.0, 1.0, 1e-10) == 20_000_000_001
+        for bad in ((0.0, 1.0, 0.3), (1.0, -1.0, 0.5), (-1.0, 1.0, 5e-324)):
+            with pytest.raises(ValueError, match="divide"):
+                grid_size(*bad)
 
 
 class TestAngleSweep:

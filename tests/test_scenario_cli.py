@@ -12,6 +12,7 @@ import pytest
 
 import irsbeam
 from irsbeam import (
+    SPEED_OF_LIGHT,
     Axis,
     GainMap,
     ScenarioError,
@@ -22,6 +23,7 @@ from irsbeam import (
     subcarrier_sweep_far,
 )
 from irsbeam.cli import main, read_gain_map_csv
+from irsbeam.scenario import MAX_GRID_POINTS
 
 PRESET_NAMES = ["fig2a", "fig2c", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
 
@@ -184,6 +186,56 @@ class TestScenarioLoading:
         s.save(out)
         assert load_scenario(out) == s
 
+    @pytest.mark.parametrize("field", ["R", "nu0"])
+    def test_huge_integer_literal_names_file_and_field(self, tmp_path, capsys, field):
+        # json.dumps cannot write an int past Python's 4,300-digit conversion
+        # limit, so the file text is written directly
+        fields = {"f_c": "200e9", "B": "6e9", "R": "64", "nu0": "0.5", field: "9" * 5001}
+        path = tmp_path / "huge.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        with pytest.raises(ScenarioError, match=f"field '{field}' must be"):
+            load_scenario(path)
+        out = tmp_path / "out.csv"
+        assert main(["design", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"field '{field}' must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_step": 1e-10}},
+                         "field 'nu_step' gives a sweep grid of 60000000003 cells", id="far-huge"),
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_step": 0.3}},
+                         "field 'nu_step': step 0.3 does not divide", id="far-divide"),
+            # 128 rows x 32769 directions is 128 cells over the cap; one row loads
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_step": 2.0**-14,
+                                                   "subcarriers": list(range(1, 129))}},
+                         "field 'nu_step' gives a sweep grid of 4194432 cells", id="far-rows"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 1e-7}},
+                         "field 'step_m' gives a sweep grid", id="near-huge"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 0.003}},
+                         "field 'step_m': step 0.003 does not divide", id="near-divide"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 0.001, "half_span_m": 1.024}},
+                         "field 'step_m' gives a sweep grid of 4198401 cells", id="near-edge"),
+        ],
+    )
+    def test_sweep_grid_checked_at_load(self, tmp_path, capsys, body, message):
+        path = write_scenario(tmp_path, body)
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        out = tmp_path / "out.csv"
+        assert main(["design", "--scenario", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_grid_at_the_cap_loads(self):
+        assert MAX_GRID_POINTS == 2048**2 == 2**22
+        near = {**MINIMAL_NEAR, "sweep": {"step_m": 0.001, "half_span_m": 1.0235}}
+        assert scenario_from_dict(near).sweep.step_m == 0.001
+        far = {**MINIMAL_FAR, "sweep": {"nu_step": 2.0**-14, "subcarriers": [1]}}
+        assert scenario_from_dict(far).sweep.nu_step == 2.0**-14
+
 
 class TestCli:
     def test_design_far_dam_json(self, tmp_path):
@@ -196,6 +248,29 @@ class TestCli:
         assert len(payload["phases"]) == 64 and len(payload["delays"]) == 64
         assert min(payload["delays"]) == 0.0
         assert all(0 <= p < 2 * np.pi for p in payload["phases"])
+
+    @pytest.mark.parametrize("design", ["phases_only", "dam"])
+    @pytest.mark.parametrize(
+        "body,summary",
+        [
+            pytest.param(MINIMAL_FAR, {"design_direction": 0.5}, id="far"),
+            # one element at (1, 1): sqrt 2 m from the BS, sqrt 5 m from the user
+            pytest.param({**MINIMAL_NEAR, "R": 1}, {"focus_xy": [3.0, 0.0]}, id="near"),
+        ],
+    )
+    def test_design_json_meta(self, tmp_path, body, summary, design):
+        scenario = write_scenario(tmp_path, {**body, "design": design})
+        out = tmp_path / "design.json"
+        assert main(["design", "--scenario", str(scenario), "--out", str(out),
+                     "--format", "json"]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        regime = "far" if "nu0" in body else "near"
+        expected = {"regime": regime, "design": design} | summary
+        if regime == "near" and design == "dam":
+            expected["common_delay_s"] = pytest.approx(
+                (np.sqrt(2) + np.sqrt(5)) / SPEED_OF_LIGHT, rel=1e-15
+            )
+        assert meta == expected
 
     def test_far_subcarrier_sweep_dam_csv_all_ones(self, tmp_path):
         scenario = write_scenario(tmp_path, {**MINIMAL_FAR, "design": "dam"})
@@ -260,7 +335,8 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["values"]) == 5
 
-    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    # the last two give a grid over MAX_GRID_POINTS and a step that does not divide the span
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "1e-9", "0.3"])
     @pytest.mark.parametrize(
         "subcommand,body",
         [pytest.param("far-angle-sweep", MINIMAL_FAR, id="far"),
