@@ -8,7 +8,6 @@ that restore the full beam gain across the band.
 
 from . import cli  # irsbeam.cli stays reachable after a bare `import irsbeam`
 from .farfield import (
-    far_beam_gain,
     far_beam_gain_profile,
     far_dam_design,
     far_optimal_phases,
@@ -30,7 +29,6 @@ from .model import (
     subcarrier_frequency,
 )
 from .nearfield import (
-    near_beam_gain,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
@@ -62,7 +60,6 @@ __all__ = [
     "SweepSpec",
     "WidebandConfig",
     "angle_sweep",
-    "far_beam_gain",
     "far_beam_gain_profile",
     "far_dam_design",
     "far_optimal_phases",
@@ -71,7 +68,6 @@ __all__ = [
     "grid_points",
     "load_scenario",
     "location_heatmap",
-    "near_beam_gain",
     "near_dam_design",
     "near_gain_row",
     "near_optimal_phases",

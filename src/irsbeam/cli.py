@@ -29,7 +29,7 @@ from .scan import (
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
-from .scenario import Scenario, ScenarioError, check_sweep_grid, load_scenario
+from .scenario import Scenario, ScenarioError, check_sweep_grid, check_threshold, load_scenario
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -196,6 +196,7 @@ def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
         scenario = replace(scenario, sweep=sweep)
         check_sweep_grid(scenario, "--grid-step")
     if threshold is not None:
+        check_threshold(threshold, "--threshold")
         scenario = replace(scenario, threshold=threshold)
     handler = _SUBCOMMANDS[subcommand][1]
     return handler(subcommand, scenario, out_path, out_format or scenario.out_format)

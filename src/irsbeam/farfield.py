@@ -5,7 +5,7 @@ Directions are the normalized quantity nu = sin(chi) - sin(psi). The gain uses
 the package's one phase convention (see :mod:`irsbeam.model`) with the path
 phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
-ROADMAP item 2 settles the convention.
+ROADMAP item 1 settles the convention.
 """
 
 from __future__ import annotations
@@ -25,25 +25,6 @@ from .model import (
 )
 
 
-def far_beam_gain(
-    array: IrsArray,
-    cfg: WidebandConfig,
-    freq_hz: float,
-    direction: float,
-    phases: PhaseProfile,
-    delays: DelayProfile | None = None,
-) -> float:
-    """Beam gain |sum_r exp(j [phi_r - pi (r-1) (1 + f/f_c) nu - 2 pi f tau_r])|.
-
-    With ``delays`` omitted, tau_r = 0 (phase-shift-only IRS). The result lies
-    in [0, R].
-    """
-    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
-    return float(
-        far_beam_gain_profile(array, cfg, [freq_hz], [direction], phases, delays)[0, 0]
-    )
-
-
 def far_beam_gain_profile(
     array: IrsArray,
     cfg: WidebandConfig,
@@ -52,11 +33,15 @@ def far_beam_gain_profile(
     phases: PhaseProfile,
     delays: DelayProfile | None = None,
 ) -> np.ndarray:
-    """Vectorized gain over a (frequency x direction) grid; shape (F, N).
+    """Beam gain |sum_r exp(j [phi_r - pi (r-1) (1 + f/f_c) nu - 2 pi f tau_r])|
+    over a (frequency x direction) grid; shape (F, N), values in [0, R].
 
-    Same formula as :func:`far_beam_gain`, evaluated in bounded-memory chunks.
+    With ``delays`` omitted, tau_r = 0 (phase-shift-only IRS). Any finite nu is
+    accepted; the grid is evaluated in bounded-memory chunks.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1)
+    if not np.isfinite(directions).all():
+        raise ValueError(f"direction {directions[~np.isfinite(directions)][0]} is not finite")
 
     def powers(lo, hi, scale, out):
         # z^0 .. z^(R-1) of z = exp(-j s nu): one exp per (frequency, direction)

@@ -18,7 +18,7 @@ and delay profile tau toward a target at frequency f is
 
 where P_r is the frequency-flat path phase of element r. In the far field
 P_r = pi (r-1) nu: the half-wavelength progression, so the spacing ``d`` is
-ignored there (ROADMAP item 2). In the near field
+ignored there (ROADMAP item 1). In the near field
 P_r = (2 pi / lambda_c)(d_r^BR + d_r^target), from the exact distances.
 
 The kernel splits each term into an element weight and a path factor:
@@ -271,7 +271,7 @@ class GainMap:
     """Sampled normalized beam-gain surface over one or more axes.
 
     Values are gains divided by the element count R, so the analytic peak is
-    1; construction rejects values below 0 or above 1 (plus rounding slack).
+    1; construction rejects NaN and values below 0 or above 1 (plus rounding slack).
     """
 
     axes: tuple[Axis, ...]
@@ -282,9 +282,9 @@ class GainMap:
         shape = tuple(ax.points.size for ax in self.axes)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} does not match axes {shape}")
-        if np.any(values < 0.0):
-            raise ValueError("gain values must be non-negative")
-        if np.any(values > 1.0 + NORMALIZED_GAIN_SLACK):
+        if not (values >= 0.0).all():  # written so that NaN fails
+            raise ValueError("gain values must be non-negative, not NaN")
+        if not (values <= 1.0 + NORMALIZED_GAIN_SLACK).all():
             raise ValueError("normalized gain values must not exceed 1")
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "values", _readonly(values))

@@ -23,23 +23,6 @@ from .model import (
 )
 
 
-def near_beam_gain(
-    geom: NearFieldGeometry,
-    cfg: WidebandConfig,
-    freq_hz: float,
-    target_xy,
-    phases: PhaseProfile,
-    delays: DelayProfile | None = None,
-) -> float:
-    """Beam gain at a 2-D target point for one frequency; lies in [0, R].
-
-    |sum_r exp(j [phi_r - (2 pi / lambda_c)(1 + f/f_c)(d_r^BR + d_r^RU')
-    - 2 pi f tau_r])| with tau_r = 0 when ``delays`` is omitted.
-    """
-    row = near_gain_row(geom, cfg, freq_hz, np.array([target_xy]), phases, delays)
-    return float(row[0])
-
-
 def near_gain_row(
     geom: NearFieldGeometry,
     cfg: WidebandConfig,
@@ -48,12 +31,17 @@ def near_gain_row(
     phases: PhaseProfile,
     delays: DelayProfile | None = None,
 ) -> np.ndarray:
-    """Vectorized gain over an (N, 2) array of target points.
+    """Beam gain |sum_r exp(j [phi_r - (2 pi / lambda_c)(1 + f/f_c)(d_r^BR + d_r^RU')
+    - 2 pi f tau_r])| at an (N, 2) array of target points; values in [0, R].
 
-    ``freq_hz`` is one frequency or an array of them; the result has shape
-    ``np.shape(freq_hz) + (N,)`` and is evaluated in bounded-memory chunks.
+    With ``delays`` omitted, tau_r = 0. ``freq_hz`` is one frequency or an
+    array of them; the result has shape ``np.shape(freq_hz) + (N,)`` and is
+    evaluated in bounded-memory chunks. Every point must be finite.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
+    if not np.isfinite(targets_xy).all():
+        bad = targets_xy[~np.isfinite(targets_xy).all(axis=-1)][0]
+        raise ValueError(f"point {tuple(bad.tolist())} is not finite")
 
     def exps(lo, hi, scale, out):
         paths = geom.bs_distances + geom.element_distances(targets_xy[lo:hi])

@@ -196,10 +196,10 @@ def _parse_sweep(raw) -> SweepSpec:
             kwargs[key] = _require_number(raw, key, positive=key not in ("nu_start", "nu_stop"))
     if "subcarriers" in raw:
         subs = raw["subcarriers"]
-        if not isinstance(subs, list) or not all(
+        if not isinstance(subs, list) or not subs or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in subs
         ):
-            raise ScenarioError("sweep field 'subcarriers' must be a list of integers")
+            raise ScenarioError("sweep field 'subcarriers' must be a non-empty list of integers")
         kwargs["subcarriers"] = tuple(subs)
     if "subcarrier" in raw:
         sub = raw["subcarrier"]
@@ -207,6 +207,12 @@ def _parse_sweep(raw) -> SweepSpec:
             raise ScenarioError("sweep field 'subcarrier' must be an integer")
         kwargs["subcarrier"] = sub
     return SweepSpec(**kwargs)
+
+
+def check_threshold(threshold: float, name: str = "field 'threshold'") -> None:
+    """Reject a metrics threshold outside (0, 1); the error names ``name``."""
+    if not 0.0 < threshold < 1.0:
+        raise ScenarioError(f"{name} must lie in (0, 1), got {threshold}")
 
 
 def check_sweep_grid(scenario: Scenario, name: str | None = None) -> None:
@@ -293,8 +299,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if out_format not in _FORMATS:
         raise ScenarioError(f"field 'format' must be one of {_FORMATS}, got {out_format!r}")
     threshold = _require_number(raw, "threshold") if "threshold" in raw else DEFAULT_THRESHOLD
-    if not 0.0 < threshold < 1.0:
-        raise ScenarioError(f"field 'threshold' must lie in (0, 1), got {threshold}")
+    check_threshold(threshold)
 
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else SweepSpec()
     # resolve the -1 shorthand for "highest subcarrier" now that M is known

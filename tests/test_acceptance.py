@@ -26,14 +26,13 @@ from irsbeam import (
     DelayProfile,
     IrsArray,
     WidebandConfig,
-    far_beam_gain,
     far_beam_gain_profile,
     far_dam_design,
     far_optimal_phases,
     far_squint_direction,
     location_heatmap,
-    near_beam_gain,
     near_dam_design,
+    near_gain_row,
     near_optimal_phases,
     subcarrier_frequencies,
     subcarrier_sweep_far,
@@ -56,11 +55,13 @@ def test_01_exact_peak_gain():
     worst = 0.0
     for n in (1, 10, 64, 256):
         array = IrsArray.half_wavelength(CFG, n)
-        far = far_beam_gain(array, CFG, CFG.carrier_hz, 0.5, far_optimal_phases(array, 0.5))
+        far = far_beam_gain_profile(
+            array, CFG, [CFG.carrier_hz], [0.5], far_optimal_phases(array, 0.5)
+        )[0, 0]
         geom = make_geometry(CFG, n)
-        near = near_beam_gain(
-            geom, CFG, CFG.carrier_hz, geom.user_xy, near_optimal_phases(geom, CFG)
-        )
+        near = near_gain_row(
+            geom, CFG, CFG.carrier_hz, [geom.user_xy], near_optimal_phases(geom, CFG)
+        )[0]
         worst = max(worst, abs(far - n) / n, abs(near - n) / n)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -80,7 +81,7 @@ def test_02_closed_form_array_factor():
         nu = rng.uniform(-2, 2)
         f = rng.uniform(0.85, 1.15) * CFG.carrier_hz
         array = IrsArray.half_wavelength(CFG, n)
-        g = far_beam_gain(array, CFG, f, nu, far_optimal_phases(array, nu0))
+        g = far_beam_gain_profile(array, CFG, [f], [nu], far_optimal_phases(array, nu0))[0, 0]
         delta = 2 * nu0 - (1 + f / CFG.carrier_hz) * nu
         expected = dirichlet_gain(n, delta)
         # the absolute term guards the removable-singularity neighborhoods,
@@ -209,7 +210,7 @@ def test_08_near_dam_refocuses_band_wide():
     design = near_dam_design(geom, CFG)
     gains = np.array(
         [
-            near_beam_gain(geom, CFG, f, geom.user_xy, design.phases, design.delays)
+            near_gain_row(geom, CFG, f, [geom.user_xy], design.phases, design.delays)[0]
             for f in subcarrier_frequencies(CFG)
         ]
     ) / 64.0
@@ -280,7 +281,7 @@ def test_10_delay_physicality_and_common_delay_invariance():
         array, CFG, freqs, np.array([0.5]), far.phases, far.delays
     )[:, 0] / 64.0
     base_near = np.array(
-        [near_beam_gain(geom, CFG, f, geom.user_xy, near.phases, near.delays) for f in freqs]
+        [near_gain_row(geom, CFG, f, [geom.user_xy], near.phases, near.delays)[0] for f in freqs]
     ) / 64.0
 
     worst = 0.0
@@ -292,7 +293,7 @@ def test_10_delay_physicality_and_common_delay_invariance():
         shifted_near = DelayProfile(near.delays.delays + delta)
         got_near = np.array(
             [
-                near_beam_gain(geom, CFG, f, geom.user_xy, near.phases, shifted_near)
+                near_gain_row(geom, CFG, f, [geom.user_xy], near.phases, shifted_near)[0]
                 for f in freqs
             ]
         ) / 64.0

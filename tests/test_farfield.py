@@ -6,7 +6,6 @@ from irsbeam import (
     IrsArray,
     PhaseProfile,
     WidebandConfig,
-    far_beam_gain,
     far_beam_gain_profile,
     far_dam_design,
     far_optimal_phases,
@@ -31,14 +30,14 @@ class TestOptimalPhases:
         rng = np.random.default_rng(5)
         for nu0 in rng.uniform(-2, 2, size=4):
             base = far_optimal_phases(array, nu0)
-            peak = far_beam_gain(array, cfg200, cfg200.carrier_hz, nu0, base)
+            peak = far_beam_gain_profile(array, cfg200, [cfg200.carrier_hz], [nu0], base)[0, 0]
             for r in range(16):
                 for eps in (+0.1, -0.1):
                     perturbed = base.phases.copy()
                     perturbed[r] += eps
-                    g = far_beam_gain(
-                        array, cfg200, cfg200.carrier_hz, nu0, PhaseProfile(perturbed)
-                    )
+                    g = far_beam_gain_profile(
+                        array, cfg200, [cfg200.carrier_hz], [nu0], PhaseProfile(perturbed)
+                    )[0, 0]
                     assert g <= peak + 1e-9
 
 
@@ -46,25 +45,25 @@ class TestBeamGain:
     def test_peak_equals_element_count(self, cfg200):
         for n in (1, 10, 64):
             array = IrsArray.half_wavelength(cfg200, n)
-            g = far_beam_gain(
-                array, cfg200, cfg200.carrier_hz, 0.5, far_optimal_phases(array, 0.5)
-            )
+            g = far_beam_gain_profile(
+                array, cfg200, [cfg200.carrier_hz], [0.5], far_optimal_phases(array, 0.5)
+            )[0, 0]
             np.testing.assert_allclose(g, n, rtol=1e-9)
 
     def test_zero_profile_broadside_any_frequency(self, array64, cfg200):
         phases = PhaseProfile(np.zeros(64))
         for f in (150e9, 200e9, 260e9):
             np.testing.assert_allclose(
-                far_beam_gain(array64, cfg200, f, 0.0, phases), 64.0, rtol=1e-12
+                far_beam_gain_profile(array64, cfg200, [f], [0.0], phases), 64.0, rtol=1e-12
             )
 
     def test_four_element_offset_frequency_reference(self, cfg200):
         # independent Dirichlet evaluation at delta = 2*nu0 - (1 + f/f_c)*nu
         # with nu = nu0 = 0.5 and f/f_c = 1.03 gives 3.994450453268542
         array = IrsArray.half_wavelength(cfg200, 4)
-        g = far_beam_gain(
-            array, cfg200, 1.03 * cfg200.carrier_hz, 0.5, far_optimal_phases(array, 0.5)
-        )
+        g = far_beam_gain_profile(
+            array, cfg200, [1.03 * cfg200.carrier_hz], [0.5], far_optimal_phases(array, 0.5)
+        )[0, 0]
         np.testing.assert_allclose(g, 3.994450453268542, rtol=1e-12)
         np.testing.assert_allclose(g, dirichlet_gain(4, -0.015), rtol=1e-12)
 
@@ -76,7 +75,8 @@ class TestBeamGain:
             nu = rng.uniform(-2, 2)
             f = rng.uniform(0.85, 1.15) * cfg200.carrier_hz
             array = IrsArray.half_wavelength(cfg200, n)
-            g = far_beam_gain(array, cfg200, f, nu, far_optimal_phases(array, nu0))
+            phases = far_optimal_phases(array, nu0)
+            g = far_beam_gain_profile(array, cfg200, [f], [nu], phases)[0, 0]
             delta = 2 * nu0 - (1 + f / cfg200.carrier_hz) * nu
             np.testing.assert_allclose(g, dirichlet_gain(n, delta), rtol=1e-9, atol=1e-9)
 
@@ -84,9 +84,9 @@ class TestBeamGain:
         rng = np.random.default_rng(29)
         for _ in range(50):
             phases = PhaseProfile(rng.uniform(0, 2 * np.pi, size=64))
-            g = far_beam_gain(
-                array64, cfg200, rng.uniform(0.9, 1.1) * 200e9, rng.uniform(-2, 2), phases
-            )
+            g = far_beam_gain_profile(
+                array64, cfg200, [rng.uniform(0.9, 1.1) * 200e9], [rng.uniform(-2, 2)], phases
+            )[0, 0]
             assert 0.0 <= g <= 64.0 + 1e-9
 
     def test_profile_grid_matches_scalar(self, array64, cfg200):
@@ -96,9 +96,8 @@ class TestBeamGain:
         grid = far_beam_gain_profile(array64, cfg200, freqs, nus, phases)
         for i, f in enumerate(freqs):
             for j, nu in enumerate(nus):
-                np.testing.assert_allclose(
-                    grid[i, j], far_beam_gain(array64, cfg200, f, nu, phases), rtol=1e-12
-                )
+                one = far_beam_gain_profile(array64, cfg200, [f], [nu], phases)
+                np.testing.assert_allclose(grid[i, j], one[0, 0], rtol=1e-12)
 
     def test_multi_chunk_grid_matches_dirichlet_oracle(self, cfg200):
         # the far kernel builds z^(r-1) by repeated products, whose rounding
@@ -132,10 +131,10 @@ class TestBeamGain:
 
     def test_length_mismatch_rejected(self, array64, cfg200):
         with pytest.raises(ValueError, match="length"):
-            far_beam_gain(array64, cfg200, 200e9, 0.5, PhaseProfile(np.zeros(32)))
+            far_beam_gain_profile(array64, cfg200, [200e9], [0.5], PhaseProfile(np.zeros(32)))
         with pytest.raises(ValueError, match="length"):
-            far_beam_gain(
-                array64, cfg200, 200e9, 0.5, PhaseProfile(np.zeros(64)),
+            far_beam_gain_profile(
+                array64, cfg200, [200e9], [0.5], PhaseProfile(np.zeros(64)),
                 DelayProfile(np.zeros(32)),
             )
 
@@ -194,7 +193,7 @@ class TestDamDesign:
     def test_restores_full_gain_across_band(self, array64, cfg200):
         design = far_dam_design(array64, cfg200, 0.5)
         for f in subcarrier_frequencies(cfg200):
-            g = far_beam_gain(array64, cfg200, f, 0.5, design.phases, design.delays)
+            g = far_beam_gain_profile(array64, cfg200, [f], [0.5], design.phases, design.delays)
             np.testing.assert_allclose(g, 64.0, rtol=1e-9)
 
     def test_min_band_gain_shrinks_with_bandwidth_and_elements(self):

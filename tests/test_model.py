@@ -14,9 +14,7 @@ from irsbeam import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    far_beam_gain,
     far_beam_gain_profile,
-    near_beam_gain,
     near_gain_row,
     subcarrier_frequencies,
     subcarrier_frequency,
@@ -96,13 +94,13 @@ class TestFarSteeringVector:
 
     def test_single_element(self, cfg200):
         array = IrsArray.half_wavelength(cfg200, 1)
-        g = far_beam_gain(array, cfg200, 150e9, 0.7, PhaseProfile(np.array([1.3])))
+        g = far_beam_gain_profile(array, cfg200, [150e9], [0.7], PhaseProfile(np.array([1.3])))
         np.testing.assert_allclose(g, 1.0, rtol=1e-15)
 
     def test_second_entry_at_carrier_half_direction(self, cfg200):
         # entry 2 is exp(-j pi (1 + 1) 0.5) = -1, which cancels entry 1
         array = IrsArray.half_wavelength(cfg200, 2)
-        g = far_beam_gain(array, cfg200, 200e9, 0.5, PhaseProfile(np.zeros(2)))
+        g = far_beam_gain_profile(array, cfg200, [200e9], [0.5], PhaseProfile(np.zeros(2)))[0, 0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_unit_modulus_and_first_entry(self, array64, cfg200):
@@ -114,21 +112,22 @@ class TestFarSteeringVector:
             f = rng.uniform(0.9, 1.1) * cfg200.carrier_hz
             nu = rng.uniform(-2, 2)
             phases = PhaseProfile(np.pi * r * (1 + f / cfg200.carrier_hz) * nu)
-            g = far_beam_gain(array64, cfg200, f, nu, phases)
+            g = far_beam_gain_profile(array64, cfg200, [f], [nu], phases)[0, 0]
             np.testing.assert_allclose(g, 64.0, rtol=1e-12)
 
     def test_conjugate_symmetry(self, array64, cfg200):
         # a(-nu) = conj(a(nu)): flipping nu and every phase leaves the gain
         raw = np.random.default_rng(13).uniform(0, 2 * np.pi, 64)
-        g_pos = far_beam_gain(array64, cfg200, 197e9, 0.8, PhaseProfile(raw))
-        g_neg = far_beam_gain(array64, cfg200, 197e9, -0.8, PhaseProfile(-raw))
+        g_pos = far_beam_gain_profile(array64, cfg200, [197e9], [0.8], PhaseProfile(raw))[0, 0]
+        g_neg = far_beam_gain_profile(array64, cfg200, [197e9], [-0.8], PhaseProfile(-raw))[0, 0]
         np.testing.assert_allclose(g_neg, g_pos, rtol=1e-12)
 
     @pytest.mark.parametrize("freq,nu", [(np.nan, 0.5), (np.inf, 0.5), (-1e9, 0.5),
-                                         (200e9, np.nan), (200e9, 2.5)])
+                                         (200e9, np.nan), (200e9, -np.inf)])
     def test_rejects_bad_inputs(self, array64, cfg200, freq, nu):
-        with pytest.raises(ValueError):
-            far_beam_gain(array64, cfg200, freq, nu, PhaseProfile(np.zeros(64)))
+        # any finite direction is accepted: angle sweeps run past |nu| = 2
+        with pytest.raises(ValueError, match="freq_hz" if nu == 0.5 else "direction"):
+            far_beam_gain_profile(array64, cfg200, [freq], [nu], PhaseProfile(np.zeros(64)))
 
 
 class TestNearSteeringVector:
@@ -149,13 +148,13 @@ class TestNearSteeringVector:
         path = geometry64.bs_distances + geometry64.element_distances(target)
         k = 2 * np.pi / cfg200.wavelength_m
         phases = PhaseProfile(k * (1 + f / cfg200.carrier_hz) * path)
-        g = near_beam_gain(geometry64, cfg200, f, target, phases)
+        g = near_gain_row(geometry64, cfg200, f, [target], phases)[0]
         np.testing.assert_allclose(g, 64.0, rtol=1e-9)
 
     def test_coincident_target_rejected(self, geometry64, cfg200):
         phases = PhaseProfile(np.zeros(64))
         with pytest.raises(ValueError, match="coincides"):
-            near_beam_gain(geometry64, cfg200, 200e9, (1.0, 1.0), phases)
+            near_gain_row(geometry64, cfg200, 200e9, [(1.0, 1.0)], phases)
         on_element = (geometry64.element_x[5], 1.0)
         with pytest.raises(ValueError, match=r"point \(.*\) coincides"):
             near_gain_row(geometry64, cfg200, 200e9, [(2.0, 0.0), on_element], phases)
@@ -170,7 +169,7 @@ class TestNearSteeringVector:
             phases.phases
             - (2 * np.pi / cfg200.wavelength_m) * (1 + f / cfg200.carrier_hz) * (d_bs + d_t)
         ))))
-        g = near_beam_gain(geometry64, cfg200, f, target, phases)
+        g = near_gain_row(geometry64, cfg200, f, [target], phases)[0]
         np.testing.assert_allclose(g, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("freq", [np.nan, np.inf, -1e9, [200e9, np.nan]])
@@ -253,6 +252,8 @@ class TestGainMap:
             GainMap(axes=(ax,), values=np.array([0.1, -0.2, 0.3]))
         with pytest.raises(ValueError, match="exceed"):
             GainMap(axes=(ax,), values=np.array([0.1, 1.5, 0.3]))
+        with pytest.raises(ValueError, match="NaN"):
+            GainMap(axes=(ax,), values=np.array([np.nan, 0.5, 0.3]))
 
     def test_argmax_tie_breaks_row_major(self):
         axes = (Axis("x", "m", np.arange(2)), Axis("y", "m", np.arange(2)))

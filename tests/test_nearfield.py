@@ -8,7 +8,6 @@ from irsbeam import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    near_beam_gain,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
@@ -41,9 +40,8 @@ class TestBeamGain:
     def test_focus_gain_equals_element_count(self, cfg200):
         for n in (1, 10, 64):
             geom = make_geometry(cfg200, n)
-            g = near_beam_gain(
-                geom, cfg200, cfg200.carrier_hz, geom.user_xy, near_optimal_phases(geom, cfg200)
-            )
+            phases = near_optimal_phases(geom, cfg200)
+            g = near_gain_row(geom, cfg200, cfg200.carrier_hz, [geom.user_xy], phases)[0]
             np.testing.assert_allclose(g, n, rtol=1e-9)
 
     def test_single_element_gain_is_one_anywhere(self, cfg200):
@@ -52,13 +50,13 @@ class TestBeamGain:
         for _ in range(10):
             target = (rng.uniform(2, 4), rng.uniform(-1, 1))
             f = rng.uniform(0.9, 1.1) * cfg200.carrier_hz
-            g = near_beam_gain(geom, cfg200, f, target, PhaseProfile(rng.uniform(0, 6, 1)))
+            g = near_gain_row(geom, cfg200, f, [target], PhaseProfile(rng.uniform(0, 6, 1)))[0]
             np.testing.assert_allclose(g, 1.0, rtol=1e-12)
 
     def test_edge_subcarrier_strictly_below_peak(self, geometry64, cfg200):
         phases = near_optimal_phases(geometry64, cfg200)
         f1 = subcarrier_frequencies(cfg200)[0]
-        g = near_beam_gain(geometry64, cfg200, f1, geometry64.user_xy, phases)
+        g = near_gain_row(geometry64, cfg200, f1, [geometry64.user_xy], phases)[0]
         assert g < 64.0 * (1 - 1e-4)
         # frozen from an element-by-element evaluation of the residual sum
         np.testing.assert_allclose(g / 64.0, 0.988352352667293, rtol=1e-6)
@@ -69,7 +67,7 @@ class TestBeamGain:
         delays = DelayProfile(rng.uniform(0, 1e-9, 64))
         f = 198.2e9
         target = (2.8, 0.3)
-        g = near_beam_gain(geometry64, cfg200, f, target, phases, delays)
+        g = near_gain_row(geometry64, cfg200, f, [target], phases, delays)[0]
         expected = near_gain_brute_force(cfg200, geometry64, f, target, phases, delays)
         np.testing.assert_allclose(g, expected, rtol=1e-10)
 
@@ -79,7 +77,7 @@ class TestBeamGain:
         row = near_gain_row(geometry64, cfg200, 199e9, targets, phases)
         for point, value in zip(targets, row):
             np.testing.assert_allclose(
-                value, near_beam_gain(geometry64, cfg200, 199e9, point, phases), rtol=1e-12
+                value, near_gain_row(geometry64, cfg200, 199e9, [point], phases)[0], rtol=1e-12
             )
 
     def test_multi_chunk_row_matches_longhand_sum(self, cfg200):
@@ -102,9 +100,15 @@ class TestBeamGain:
             expected = near_gain_brute_force(cfg200, geom, freqs[j], targets[0], phases, delays)
             np.testing.assert_allclose(column[j, 0], expected, rtol=1e-9)
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0), (3.0, -np.inf)])
+    def test_non_finite_point_rejected(self, geometry64, cfg200, point):
+        phases = near_optimal_phases(geometry64, cfg200)
+        with pytest.raises(ValueError, match=rf"point \({point[0]}, {point[1]}\) is not finite"):
+            near_gain_row(geometry64, cfg200, 200e9, [(2.9, 0.0), point], phases)
+
     def test_profile_length_mismatch_rejected(self, geometry64, cfg200):
         with pytest.raises(ValueError, match="length"):
-            near_beam_gain(geometry64, cfg200, 200e9, (3.0, 0.0), PhaseProfile(np.zeros(8)))
+            near_gain_row(geometry64, cfg200, 200e9, [(3.0, 0.0)], PhaseProfile(np.zeros(8)))
 
 
 class TestOptimalPhases:
@@ -117,14 +121,14 @@ class TestOptimalPhases:
     def test_single_phase_perturbation_never_improves_focus(self, cfg200):
         geom = make_geometry(cfg200, 16)
         base = near_optimal_phases(geom, cfg200)
-        peak = near_beam_gain(geom, cfg200, cfg200.carrier_hz, geom.user_xy, base)
+        peak = near_gain_row(geom, cfg200, cfg200.carrier_hz, [geom.user_xy], base)[0]
         for r in range(16):
             for eps in (+0.1, -0.1):
                 perturbed = base.phases.copy()
                 perturbed[r] += eps
-                g = near_beam_gain(
-                    geom, cfg200, cfg200.carrier_hz, geom.user_xy, PhaseProfile(perturbed)
-                )
+                g = near_gain_row(
+                    geom, cfg200, cfg200.carrier_hz, [geom.user_xy], PhaseProfile(perturbed)
+                )[0]
                 assert g <= peak + 1e-9
 
 
@@ -154,9 +158,9 @@ class TestDamDesign:
     def test_refocuses_every_subcarrier(self, geometry64, cfg200):
         design = near_dam_design(geometry64, cfg200)
         for f in subcarrier_frequencies(cfg200):
-            g = near_beam_gain(
-                geometry64, cfg200, f, geometry64.user_xy, design.phases, design.delays
-            )
+            g = near_gain_row(
+                geometry64, cfg200, f, [geometry64.user_xy], design.phases, design.delays
+            )[0]
             np.testing.assert_allclose(g, 64.0, rtol=1e-9)
 
     def test_common_delay_shift_leaves_gain_unchanged(self, geometry64, cfg200):
@@ -164,9 +168,9 @@ class TestDamDesign:
         freqs = subcarrier_frequencies(cfg200)
         base = np.array(
             [
-                near_beam_gain(
-                    geometry64, cfg200, f, geometry64.user_xy, design.phases, design.delays
-                )
+                near_gain_row(
+                    geometry64, cfg200, f, [geometry64.user_xy], design.phases, design.delays
+                )[0]
                 for f in freqs
             ]
         )
@@ -175,9 +179,9 @@ class TestDamDesign:
             shifted = DelayProfile(design.delays.delays + delta)
             gains = np.array(
                 [
-                    near_beam_gain(
-                        geometry64, cfg200, f, geometry64.user_xy, design.phases, shifted
-                    )
+                    near_gain_row(
+                        geometry64, cfg200, f, [geometry64.user_xy], design.phases, shifted
+                    )[0]
                     for f in freqs
                 ]
             )
@@ -204,5 +208,5 @@ class TestSquintPhenomena:
         for n in (32, 64, 128, 256):
             geom = make_geometry(cfg200, n)
             phases = near_optimal_phases(geom, cfg200)
-            gains.append(near_beam_gain(geom, cfg200, f1, geom.user_xy, phases) / n)
+            gains.append(near_gain_row(geom, cfg200, f1, [geom.user_xy], phases)[0] / n)
         assert all(a > b for a, b in zip(gains, gains[1:]))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,17 @@ from irsbeam import (
     subcarrier_sweep_far,
 )
 from irsbeam.cli import main, read_gain_map_csv
-from irsbeam.scenario import MAX_GRID_POINTS
+from irsbeam.scan import DEFAULT_THRESHOLD
+from irsbeam.scenario import (
+    _DESIGNS,
+    _FORMATS,
+    _SWEEP_KEYS,
+    _TOP_KEYS,
+    DEFAULT_N_SUBCARRIERS,
+    MAX_COUNT,
+    MAX_GRID_POINTS,
+    SweepSpec,
+)
 
 PRESET_NAMES = ["fig2a", "fig2c", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
 
@@ -118,6 +129,7 @@ class TestScenarioLoading:
             ({"R": 10**400}, "'R'"),
             ({"M": 10**400}, "'M'"),
             ({"M": 2**20 + 1}, "'M'"),
+            ({"sweep": {"subcarriers": []}}, "'subcarriers' must be a non-empty list"),
         ],
     )
     def test_invalid_fields_rejected(self, patch, match):
@@ -229,6 +241,22 @@ class TestScenarioLoading:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_schema_matches_loader(self):
+        # docs/scenario.schema.json restates the loader's rules; keep the two in step
+        schema = json.loads((Path(__file__).parents[1] / "docs/scenario.schema.json").read_text())
+        top = schema["properties"]
+        sweep = top["sweep"]["properties"]
+        assert set(top) == _TOP_KEYS
+        assert set(sweep) == _SWEEP_KEYS
+        assert tuple(top["design"]["enum"]) == _DESIGNS
+        assert tuple(top["format"]["enum"]) == _FORMATS
+        assert top["R"]["maximum"] == top["M"]["maximum"] == MAX_COUNT
+        assert schema["required"] == ["f_c", "B", "R"]
+        defaults = {key: spec["default"] for key, spec in sweep.items()}
+        assert defaults == asdict(SweepSpec()) | {"subcarriers": list(SweepSpec().subcarriers)}
+        assert top["threshold"]["default"] == DEFAULT_THRESHOLD
+        assert top["M"]["default"] == DEFAULT_N_SUBCARRIERS
+
     def test_sweep_grid_at_the_cap_loads(self):
         assert MAX_GRID_POINTS == 2048**2 == 2**22
         near = {**MINIMAL_NEAR, "sweep": {"step_m": 0.001, "half_span_m": 1.0235}}
@@ -290,6 +318,14 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert 0.60 <= 1.0 - payload["fraction_above"] <= 0.80
         assert payload["meta"]["threshold"] == 0.2
+
+    @pytest.mark.parametrize("value", ["2", "0", "1", "nan"])
+    def test_threshold_override_checked_before_dispatch(self, tmp_path, capsys, value):
+        out = tmp_path / "t.json"
+        assert main(["metrics", "--scenario", str(preset_path("fig3")), "--out", str(out),
+                     "--threshold", value]) == 2
+        assert "--threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fraunhofer_identities(self, cfg200):
         lam = cfg200.wavelength_m
