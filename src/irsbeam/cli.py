@@ -5,9 +5,10 @@ and serializes the result as CSV (one record per grid point, 17 significant
 digits) or JSON ({axes, values, meta}) for external plotting. Exit codes:
 0 success, 2 scenario/subcommand problem, 3 I/O failure.
 
-Each subcommand is one entry of ``_SUBCOMMANDS``: its help text, its handler
-and the optional flags it takes. A ``far-`` or ``near-`` name prefix limits
-the subcommand to scenarios of that regime.
+Each subcommand is one entry of ``_SUBCOMMANDS``: its help text and its
+handler. A ``far-`` or ``near-`` name prefix limits the subcommand to
+scenarios of that regime. The scenario file fixes every number a run
+computes; ``--format`` picks only the artifact's encoding.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .scan import (
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
-from .scenario import Scenario, ScenarioError, check_sweep_grid, check_threshold, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -160,29 +160,23 @@ def _run_fraunhofer(subcommand, scenario: Scenario, out_path, out_format) -> dic
     return payload
 
 
-_THRESHOLD = ("--threshold", "metrics threshold in (0, 1)")
-_GRID_STEP = ("--grid-step", "override the sweep step (direction units or meters)")
-
-# name -> (help, handler(subcommand, scenario, out_path, out_format), optional (flag, help)s)
+# name -> (help, handler(subcommand, scenario, out_path, out_format))
 _SUBCOMMANDS = {
-    "design": ("emit the phase/delay profiles for the scenario", _run_design, ()),
-    "far-angle-sweep": ("normalized gain over (subcarrier x direction)",
-                        _gain_map(_angle_sweep), (_GRID_STEP,)),
+    "design": ("emit the phase/delay profiles for the scenario", _run_design),
+    "far-angle-sweep": ("normalized gain over (subcarrier x direction)", _gain_map(_angle_sweep)),
     "far-subcarrier-sweep": ("normalized gain at the design direction per subcarrier",
-                             _gain_map(_subcarrier_sweep), ()),
+                             _gain_map(_subcarrier_sweep)),
     "near-subcarrier-sweep": ("normalized gain at the user per subcarrier",
-                              _gain_map(_subcarrier_sweep), ()),
-    "near-heatmap": ("normalized gain over a 2-D grid around the user",
-                     _gain_map(_heatmap), (_GRID_STEP,)),
+                              _gain_map(_subcarrier_sweep)),
+    "near-heatmap": ("normalized gain over a 2-D grid around the user", _gain_map(_heatmap)),
     "metrics": ("fraction-above-threshold, min and mean gain of the subcarrier sweep",
-                _run_metrics, (_THRESHOLD,)),
+                _run_metrics),
     "fraunhofer": ("near/far boundary 2 D^2 / lambda for the scenario's aperture",
-                   _run_fraunhofer, ()),
+                   _run_fraunhofer),
 }
 
 
-def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
-        threshold=None, grid_step=None) -> dict:
+def run(subcommand: str, scenario: Scenario, out_path, out_format=None) -> dict:
     """Execute one subcommand against a loaded scenario and write the artifact.
 
     Returns a small summary dict; raises ScenarioError for an incompatible
@@ -191,13 +185,6 @@ def run(subcommand: str, scenario: Scenario, out_path, out_format=None,
     regime = subcommand.partition("-")[0]
     if regime in ("far", "near") and scenario.regime != regime:
         raise ScenarioError(f"'{subcommand}' requires a {regime}-field scenario")
-    if grid_step is not None:
-        sweep = replace(scenario.sweep, nu_step=grid_step, step_m=grid_step)
-        scenario = replace(scenario, sweep=sweep)
-        check_sweep_grid(scenario, "--grid-step")
-    if threshold is not None:
-        check_threshold(threshold, "--threshold")
-        scenario = replace(scenario, threshold=threshold)
     handler = _SUBCOMMANDS[subcommand][1]
     return handler(subcommand, scenario, out_path, out_format or scenario.out_format)
 
@@ -208,23 +195,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wideband IRS beam-squint simulator: designs, sweeps and metrics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", required=True, help="output artifact path")
         p.add_argument("--format", choices=("csv", "json"),
                        help="override the scenario's output format")
-        for flag, flag_help in flags:
-            p.add_argument(flag, type=float, help=flag_help)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        summary = run(args.subcommand, load_scenario(args.scenario), args.out,
-                      out_format=args.format, threshold=getattr(args, "threshold", None),
-                      grid_step=getattr(args, "grid_step", None))
+        summary = run(args.subcommand, load_scenario(args.scenario), args.out, args.format)
     except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         print(f"irsbeam: {exc}", file=sys.stderr)
         return EXIT_SCENARIO if isinstance(exc, ValueError) else EXIT_IO

@@ -39,6 +39,8 @@ def near_gain_row(
     evaluated in bounded-memory chunks. Every point must be finite.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
+    if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
+        raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
     if not np.isfinite(targets_xy).all():
         bad = targets_xy[~np.isfinite(targets_xy).all(axis=-1)][0]
         raise ValueError(f"point {tuple(bad.tolist())} is not finite")

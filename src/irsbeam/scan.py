@@ -33,6 +33,12 @@ DEFAULT_HEATMAP_STEP_M = 0.005
 DEFAULT_THRESHOLD = 0.5
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a metrics threshold outside the open interval (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
 def grid_size(start: float, stop: float, step: float) -> int:
     """Point count of :func:`grid_points`; the step must be positive and divide the span."""
     if not np.isfinite(step) or step <= 0:
@@ -146,8 +152,7 @@ def squint_metrics(gain_map: GainMap, threshold: float = DEFAULT_THRESHOLD) -> d
     Returns the fraction of grid points with value >= threshold, and the
     minimum and mean values. The fraction is non-increasing in the threshold.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_threshold(threshold)
     values = gain_map.values
     return {
         "fraction_above": float(np.mean(values >= threshold)),

@@ -28,6 +28,7 @@ from .scan import (
     DEFAULT_HEATMAP_STEP_M,
     DEFAULT_NU_GRID,
     DEFAULT_THRESHOLD,
+    check_threshold,
     grid_size,
 )
 
@@ -209,18 +210,11 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def check_threshold(threshold: float, name: str = "field 'threshold'") -> None:
-    """Reject a metrics threshold outside (0, 1); the error names ``name``."""
-    if not 0.0 < threshold < 1.0:
-        raise ScenarioError(f"{name} must lie in (0, 1), got {threshold}")
-
-
-def check_sweep_grid(scenario: Scenario, name: str | None = None) -> None:
+def _check_sweep_grid(s: SweepSpec, far: bool) -> None:
     """Reject the regime's sweep grid, before anything is allocated, unless its
     step divides the span and it has at most MAX_GRID_POINTS cells. Errors name
-    ``name``, by default the regime's step field."""
-    s, far = scenario.sweep, scenario.regime == "far"
-    name = name or ("field 'nu_step'" if far else "field 'step_m'")
+    the regime's step field."""
+    name = "field 'nu_step'" if far else "field 'step_m'"
     try:
         if far:  # subcarrier rows x directions
             cells = len(s.subcarriers) * grid_size(s.nu_start, s.nu_stop, s.nu_step)
@@ -299,7 +293,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if out_format not in _FORMATS:
         raise ScenarioError(f"field 'format' must be one of {_FORMATS}, got {out_format!r}")
     threshold = _require_number(raw, "threshold") if "threshold" in raw else DEFAULT_THRESHOLD
-    check_threshold(threshold)
+    try:
+        check_threshold(threshold)
+    except ValueError as exc:
+        raise ScenarioError(f"field 'threshold': {exc}") from None
 
     sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else SweepSpec()
     # resolve the -1 shorthand for "highest subcarrier" now that M is known
@@ -309,8 +306,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not 0 <= s <= m:
             raise ScenarioError(f"sweep subcarrier index {s} outside 0..{m}")
     sweep = replace(sweep, subcarriers=resolved_rows, subcarrier=resolved_row)
+    _check_sweep_grid(sweep, regime == "far")
 
-    scenario = Scenario(
+    return Scenario(
         regime=regime,
         config=config,
         n_elements=n_elements,
@@ -324,8 +322,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         threshold=float(threshold),
         out_format=out_format,
     )
-    check_sweep_grid(scenario)
-    return scenario
 
 
 def _parse_int(literal: str) -> int | float:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ class TestNearSteeringVector:
     def test_rejects_bad_frequencies(self, geometry64, cfg200, freq):
         with pytest.raises(ValueError, match="freq_hz"):
             near_gain_row(geometry64, cfg200, freq, [(3.0, 0.0)], PhaseProfile(np.zeros(64)))
+
+    # a bare point would read as two 1-D points, and a third column would be dropped
+    @pytest.mark.parametrize("targets", [(3.0, 0.0), [[3.0, 0.0, 1.0]]], ids=["bare", "xyz"])
+    def test_rejects_targets_not_shaped_n_by_2(self, geometry64, cfg200, targets):
+        message = re.escape(f"shape (N, 2), got {np.shape(targets)}")
+        with pytest.raises(ValueError, match=message):
+            near_gain_row(geometry64, cfg200, 200e9, targets, PhaseProfile(np.zeros(64)))
 
 
 class TestProfilesAndTypes:

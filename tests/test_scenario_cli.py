@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,7 +25,7 @@ from irsbeam import (
     squint_metrics,
     subcarrier_sweep_far,
 )
-from irsbeam.cli import main, read_gain_map_csv
+from irsbeam.cli import _SUBCOMMANDS, build_parser, main, read_gain_map_csv
 from irsbeam.scan import DEFAULT_THRESHOLD
 from irsbeam.scenario import (
     _DESIGNS,
@@ -36,6 +38,7 @@ from irsbeam.scenario import (
     SweepSpec,
 )
 
+ROOT = Path(__file__).parents[1]
 PRESET_NAMES = ["fig2a", "fig2c", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
 
 
@@ -130,11 +133,19 @@ class TestScenarioLoading:
             ({"M": 10**400}, "'M'"),
             ({"M": 2**20 + 1}, "'M'"),
             ({"sweep": {"subcarriers": []}}, "'subcarriers' must be a non-empty list"),
+            ({"threshold": 0}, "field 'threshold'"),
+            ({"threshold": 2}, "field 'threshold'"),
         ],
     )
-    def test_invalid_fields_rejected(self, patch, match):
+    def test_invalid_fields_rejected(self, tmp_path, capsys, patch, match):
+        body = {**MINIMAL_FAR, **patch}
         with pytest.raises(ScenarioError, match=match):
-            scenario_from_dict({**MINIMAL_FAR, **patch})
+            scenario_from_dict(body)
+        out = tmp_path / "out.json"
+        path = write_scenario(tmp_path, body)
+        assert main(["metrics", "--scenario", str(path), "--out", str(out)]) == 2
+        assert re.search(match, capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "body,field",
@@ -243,7 +254,7 @@ class TestScenarioLoading:
 
     def test_schema_matches_loader(self):
         # docs/scenario.schema.json restates the loader's rules; keep the two in step
-        schema = json.loads((Path(__file__).parents[1] / "docs/scenario.schema.json").read_text())
+        schema = json.loads((ROOT / "docs/scenario.schema.json").read_text())
         top = schema["properties"]
         sweep = top["sweep"]["properties"]
         assert set(top) == _TOP_KEYS
@@ -311,21 +322,14 @@ class TestCli:
         np.testing.assert_allclose(table[:, 1], 1.0, rtol=1e-9)
 
     def test_metrics_threshold_flag(self, tmp_path, capsys):
+        # fig3's own threshold is 0.2
         out = tmp_path / "metrics.json"
         code = main(["metrics", "--scenario", str(preset_path("fig3")),
-                     "--out", str(out), "--format", "json", "--threshold", "0.2"])
+                     "--out", str(out), "--format", "json"])
         assert code == 0
         payload = json.loads(out.read_text())
         assert 0.60 <= 1.0 - payload["fraction_above"] <= 0.80
         assert payload["meta"]["threshold"] == 0.2
-
-    @pytest.mark.parametrize("value", ["2", "0", "1", "nan"])
-    def test_threshold_override_checked_before_dispatch(self, tmp_path, capsys, value):
-        out = tmp_path / "t.json"
-        assert main(["metrics", "--scenario", str(preset_path("fig3")), "--out", str(out),
-                     "--threshold", value]) == 2
-        assert "--threshold must lie in (0, 1)" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_fraunhofer_identities(self, cfg200):
         lam = cfg200.wavelength_m
@@ -361,37 +365,28 @@ class TestCli:
         assert len(payload["axes"]) == 2
         assert len(payload["values"]) == 41
 
-    def test_grid_step_override(self, tmp_path):
-        body = {**MINIMAL_NEAR, "sweep": {"subcarrier": 0, "half_span_m": 0.05,
-                                          "step_m": 0.005}}
-        scenario = write_scenario(tmp_path, body)
-        out = tmp_path / "heat.json"
-        assert main(["near-heatmap", "--scenario", str(scenario), "--out", str(out),
-                     "--format", "json", "--grid-step", "0.025"]) == 0
-        payload = json.loads(out.read_text())
-        assert len(payload["values"]) == 5
-
     # the last two give a grid over MAX_GRID_POINTS and a step that does not divide the span
-    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "1e-9", "0.3"])
+    @pytest.mark.parametrize("step", [0, -0.01, math.nan, 1e-9, 0.3],
+                             ids=["0", "-0.01", "nan", "1e-9", "0.3"])
     @pytest.mark.parametrize(
-        "subcommand,body",
-        [pytest.param("far-angle-sweep", MINIMAL_FAR, id="far"),
-         pytest.param("near-heatmap", MINIMAL_NEAR, id="near")],
+        "subcommand,body,field",
+        [pytest.param("far-angle-sweep", MINIMAL_FAR, "nu_step", id="far"),
+         pytest.param("near-heatmap", MINIMAL_NEAR, "step_m", id="near")],
     )
-    def test_non_positive_grid_step_exits_2(self, tmp_path, capsys, subcommand, body, step):
-        scenario = write_scenario(tmp_path, body)
+    def test_non_positive_grid_step_exits_2(self, tmp_path, capsys, subcommand, body, field,
+                                            step):
+        scenario = write_scenario(tmp_path, {**body, "sweep": {field: step}})
+        with pytest.raises(ScenarioError, match=f"field '{field}'"):
+            load_scenario(scenario)
         out = tmp_path / "sweep.csv"
-        assert main([subcommand, "--scenario", str(scenario), "--out", str(out),
-                     "--grid-step", step]) == 2
-        assert "--grid-step" in capsys.readouterr().err
+        assert main([subcommand, "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "subcommand,flag",
-        [("design", "--threshold"), ("metrics", "--grid-step"), ("fraunhofer", "--grid-step")],
-    )
+    @pytest.mark.parametrize("flag", ["--threshold", "--grid-step"])
+    @pytest.mark.parametrize("subcommand", list(_SUBCOMMANDS))
     def test_flag_outside_its_subcommand_exits_2(self, tmp_path, capsys, subcommand, flag):
-        # --threshold belongs to metrics, --grid-step to the two grid sweeps
+        # the scenario file is the only source of the threshold and the sweep steps
         scenario = write_scenario(tmp_path, MINIMAL_FAR)
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:
@@ -399,6 +394,18 @@ class TestCli:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_readme_synopsis_matches_parser(self):
+        # the README's CLI synopsis restates build_parser(); keep the two in step
+        readme = (ROOT / "README.md").read_text()
+        synopsis = readme.split("## Quick start (CLI)")[1].split("```")[1]
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        for name, parser in subparsers.choices.items():
+            flags = {flag for action in parser._actions for flag in action.option_strings}
+            assert flags - {"-h", "--help"} == {"--scenario", "--out", "--format"}, name
+            assert f"`{name}`" in readme
+        assert set(re.findall(r"--[a-z-]+", synopsis)) == {"--scenario", "--out", "--format"}
 
     def test_csv_bytes_are_pinned(self, tmp_path):
         # CSV artifacts are a header, CRLF row ends and 17 significant digits,
@@ -505,3 +512,11 @@ class TestPresetRuns:
         assert code == 0
         assert out.exists() and out.stat().st_size > 0
         assert elapsed < 60.0, f"{name} took {elapsed:.1f} s"
+
+    def test_presets_doc_snippet_prints_a_preset_path(self):
+        snippet = re.search(r"python -c '([^']*)'", (ROOT / "docs/presets.md").read_text())[1]
+        package_root = str(Path(irsbeam.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": package_root})
+        assert proc.returncode == 0, proc.stderr
+        assert Path(proc.stdout.strip()) == preset_path("fig3")
