@@ -5,7 +5,8 @@ Directions are the normalized quantity nu = sin(chi) - sin(psi). The gain uses
 the package's one phase convention (see :mod:`irsbeam.model`) with the path
 phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
-ROADMAP item 1 settles the convention.
+ROADMAP item 1 settles the convention. Angle sweeps evaluate their uniform
+grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
+    KERNEL_CHUNK,
     TWO_PI,
     DelayProfile,
     Design,
@@ -21,6 +23,8 @@ from .model import (
     PhaseProfile,
     WidebandConfig,
     _array_gain,
+    _element_weights,
+    _gain_scales,
     checked_frequencies,
 )
 
@@ -52,6 +56,48 @@ def far_beam_gain_profile(
     return _array_gain(
         cfg, array.n_elements, freqs_hz, directions.size, powers, np.pi, phases, delays
     )
+
+
+def _chirp(rate: float, k2: np.ndarray) -> np.ndarray:
+    """exp(j pi rate k2) for |rate| < 2 and integers k2 < 2**29: the float32 part of
+    rate times k2 is exact and reduced mod 2 exactly, so rounding does not grow with k2."""
+    hi = float(np.float32(rate))
+    p = hi * k2
+    return np.exp(1j * np.pi * (p - 2.0 * np.round(p / 2.0) + (rate - hi) * k2))
+
+
+def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarray:
+    """:func:`far_beam_gain_profile` at the directions start + step * arange(n) of
+    ``grid = (start, step, n)``, by one chirp-z transform per frequency.
+
+    With q and m counted from the array centre and from the centre nu_c of a block
+    of B outputs, gain = |sum_q w_q exp(-j s nu_c q) exp(-j theta m q)|, theta = s step.
+    Bluestein's m q = (m^2 + q^2 - (m - q)^2) / 2 makes it an FFT convolution with
+    exp(j theta k^2 / 2), k = m - q; the factor in m alone drops out of |.|. Equal
+    blocks keep B + R - 1 within max(KERNEL_CHUNK, 2 R), which bounds the FFT length
+    (a power of 2) and |k| < (B + R) / 2.
+    """
+    start, step, n = grid
+    n_elements = array.n_elements
+    freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, np.pi, phases, delays)
+    blocks = -(-n // (max(KERNEL_CHUNK, 2 * n_elements) - n_elements + 1))
+    size = -(-n // blocks)
+    fft_len = 1 << (size + n_elements - 2).bit_length()
+    q = np.arange(n_elements) - (n_elements - 1) / 2
+    k2 = np.arange(2.0 - size - n_elements, size + n_elements - 1, 2.0) ** 2  # (2k)^2
+    out = np.empty((freqs.size, n))
+    for i, s in enumerate(scale):
+        # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
+        # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
+        rate = np.fmod(s * step / (4 * TWO_PI), 2.0)
+        chirp = np.fft.fft(_chirp(rate, k2), fft_len)
+        weights = _element_weights(freqs[i : i + 1], phases, delays)[0] * _chirp(-rate, 4 * q * q)
+        for lo in range(0, n, size):
+            centre = start + step * (lo + (size - 1) / 2)
+            spectrum = np.fft.fft(weights * np.exp(-1j * s * centre * q), fft_len)
+            conv = np.fft.ifft(spectrum * chirp)[n_elements - 1 :]
+            out[i, lo : lo + size] = np.abs(conv[: min(size, n - lo)])
+    return out
 
 
 def far_optimal_phases(array: IrsArray, direction: float) -> PhaseProfile:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .farfield import far_beam_gain_profile, far_design
+from .farfield import _far_grid_gain, far_beam_gain_profile, far_design
 from .model import (
     Axis,
     DelayProfile,
@@ -72,7 +72,8 @@ def angle_sweep(
         raise ValueError("at least one subcarrier row is required")
     freqs = np.array([subcarrier_frequency(cfg, s) for s in subcarriers])
     nu = grid_points(*nu_grid)
-    values = far_beam_gain_profile(array, cfg, freqs, nu, phases, delays) / array.n_elements
+    grid = (nu_grid[0], nu_grid[2], nu.size)
+    values = _far_grid_gain(array, cfg, freqs, grid, phases, delays) / array.n_elements
     return GainMap(
         axes=(
             Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),

@@ -246,7 +246,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     try:
         config = WidebandConfig(carrier_hz=f_c, bandwidth_hz=bandwidth, n_subcarriers=m)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
     n_elements = _require_count(raw, "R")
     spacing = (
@@ -283,8 +283,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 bs_xy=bs, user_xy=user, irs_origin_xy=origin,
                 array=IrsArray(n_elements=n_elements, spacing_m=spacing),
             )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        except ValueError as exc:  # the message opens with the point's label, "BS" or "user"
+            key = "bs" if str(exc).startswith("BS ") else "user"
+            raise ScenarioError(f"field '{key}': {exc}") from exc
 
     design = raw.get("design", "phases_only")
     if design not in _DESIGNS:

@@ -2,10 +2,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from irsbeam import IrsArray, NearFieldGeometry, WidebandConfig
+
+# One deterministic profile: the same examples on every run, no wall-clock
+# deadline on a shared host, and no example database written to disk.
+settings.register_profile(
+    "irsbeam", derandomize=True, deadline=None, database=None, max_examples=20
+)
+settings.load_profile("irsbeam")
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from the source in its home
+    # directory, ./.hypothesis by default; keep them in pytest's own cache.
+    if config.pluginmanager.has_plugin("cacheprovider"):
+        set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
 @pytest.fixture

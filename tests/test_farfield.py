@@ -6,6 +6,7 @@ from irsbeam import (
     IrsArray,
     PhaseProfile,
     WidebandConfig,
+    angle_sweep,
     far_beam_gain_profile,
     far_dam_design,
     far_optimal_phases,
@@ -104,15 +105,7 @@ class TestBeamGain:
         # grows with r: check every direction in [-2, 2] at the band edges and
         # the carrier up to R = 1024, over 32 (R = 128) and 251 (R = 1024)
         # kernel chunks per frequency row
-        freqs = np.array([*subcarrier_frequencies(cfg200)[[0, 127]], cfg200.carrier_hz])
-        nu = np.linspace(-2.0, 2.0, 4001)
-        for n in (128, 1024):
-            array = IrsArray.half_wavelength(cfg200, n)
-            assert nu.size * n > 10 * KERNEL_CHUNK
-            phases = far_optimal_phases(array, 0.3)
-            phase_only = far_beam_gain_profile(array, cfg200, freqs, nu, phases)
-            dam = far_dam_design(array, cfg200, 0.3)
-            joint = far_beam_gain_profile(array, cfg200, freqs, nu, dam.phases, dam.delays)
+        def check(n, freqs, nu, phase_only, joint):
             for f, row, dam_row in zip(freqs, phase_only, joint):
                 scale = 1 + f / cfg200.carrier_hz
                 np.testing.assert_allclose(
@@ -122,6 +115,31 @@ class TestBeamGain:
                 np.testing.assert_allclose(
                     dam_row, dirichlet_gain(n, scale * (0.3 - nu)), rtol=1e-9, atol=1e-9
                 )
+
+        freqs = np.array([*subcarrier_frequencies(cfg200)[[0, 127]], cfg200.carrier_hz])
+        nu = np.linspace(-2.0, 2.0, 4001)
+        for n in (128, 1024):
+            array = IrsArray.half_wavelength(cfg200, n)
+            assert nu.size * n > 10 * KERNEL_CHUNK
+            phases = far_optimal_phases(array, 0.3)
+            dam = far_dam_design(array, cfg200, 0.3)
+            check(
+                n, freqs, nu,
+                far_beam_gain_profile(array, cfg200, freqs, nu, phases),
+                far_beam_gain_profile(array, cfg200, freqs, nu, dam.phases, dam.delays),
+            )
+        # angle_sweep's chirp-z path on rows (1, 0, -1): two FFT blocks per
+        # row at step 2e-4, three at 1e-4, one point, and (R = 1024) fewer
+        # points than elements
+        assert 20001 > KERNEL_CHUNK and 40001 > 2 * KERNEL_CHUNK
+        for n in (1, 64, 1024):
+            array = IrsArray.half_wavelength(cfg200, n)
+            dam = far_dam_design(array, cfg200, 0.3)
+            designs = ((far_optimal_phases(array, 0.3), None), (dam.phases, dam.delays))
+            for grid in ((-2.0, 2.0, 2e-4), (-2.0, 2.0, 1e-4), (0.3, 0.3, 1e-3), (-0.5, 0.5, 0.01)):
+                sweeps = [angle_sweep(array, cfg200, *d, (1, 0, -1), grid) for d in designs]
+                nu = sweeps[0].axes[1].points
+                check(n, freqs[[0, 2, 1]], nu, *(n * gm.values for gm in sweeps))
 
     def test_profile_rejects_bad_frequencies(self, array64, cfg200):
         phases = far_optimal_phases(array64, 0.5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irsbeam import (
     Axis,
@@ -7,6 +9,7 @@ from irsbeam import (
     IrsArray,
     WidebandConfig,
     angle_sweep,
+    far_beam_gain_profile,
     far_dam_design,
     far_optimal_phases,
     far_squint_direction,
@@ -14,9 +17,11 @@ from irsbeam import (
     location_heatmap,
     squint_metrics,
     subcarrier_frequencies,
+    subcarrier_frequency,
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
+from irsbeam.model import NORMALIZED_GAIN_SLACK, resolve_subcarrier
 from irsbeam.scan import grid_size
 from conftest import make_geometry
 
@@ -78,6 +83,37 @@ class TestAngleSweep:
             assert int(np.argmax(gm.values[i])) == j
             assert gm.values[i, j] >= 0.98  # comfortably, since it is 1 analytically
             np.testing.assert_allclose(gm.values[i, j], 1.0, rtol=1e-9)
+
+    @given(st.data())
+    def test_chirp_z_sweep_matches_kernel(self, data):
+        # angle_sweep evaluates its uniform grid by chirp-z transform; on any
+        # valid far setup it must give the matmul kernel's gains at grid_points
+        f_c = data.draw(st.floats(10e9, 1e12), label="f_c")
+        cfg = WidebandConfig(
+            f_c,
+            f_c * data.draw(st.floats(1e-3, 1.9), label="B / f_c"),
+            data.draw(st.integers(1, 256), label="M"),
+        )
+        n_elements = data.draw(st.integers(1, 1024), label="R")
+        array = IrsArray.half_wavelength(cfg, n_elements)
+        nu0 = data.draw(st.floats(-2.0, 2.0), label="nu0")
+        if data.draw(st.booleans(), label="dam"):
+            design = far_dam_design(array, cfg, nu0)
+            phases, delays = design.phases, design.delays
+        else:
+            phases, delays = far_optimal_phases(array, nu0), None
+        step = data.draw(st.floats(1e-4, 1.0), label="step")
+        n = data.draw(st.integers(1, min(501, int(4.0 / step) + 1)), label="points")
+        start = data.draw(st.floats(-2.0, 2.0 - step * (n - 1)), label="nu_start")
+        nu_grid = (start, start + step * (n - 1), step)
+        rows = data.draw(
+            st.lists(st.integers(-1, cfg.n_subcarriers), min_size=1, max_size=3), label="rows"
+        )
+        gm = angle_sweep(array, cfg, phases, delays, rows, nu_grid)
+        freqs = [subcarrier_frequency(cfg, resolve_subcarrier(cfg, r)) for r in rows]
+        kernel = far_beam_gain_profile(array, cfg, freqs, grid_points(*nu_grid), phases, delays)
+        np.testing.assert_allclose(gm.values, kernel / n_elements, rtol=0, atol=1e-9 / n_elements)
+        assert (gm.values <= 1.0 + NORMALIZED_GAIN_SLACK).all()
 
     def test_empty_subcarrier_list_rejected(self, array64, cfg200):
         with pytest.raises(ValueError, match="at least one"):

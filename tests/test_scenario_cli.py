@@ -76,8 +76,9 @@ class TestScenarioLoading:
         assert geom.element_distances((0.0, 0.0))[0] == np.sqrt(2.0)
 
     def test_user_on_element_rejected(self):
-        with pytest.raises(ScenarioError, match="coincides"):
-            scenario_from_dict({**MINIMAL_NEAR, "user": [1.0, 1.0]})
+        for key in ("user", "bs"):
+            with pytest.raises(ScenarioError, match=f"field '{key}': .* coincides"):
+                scenario_from_dict({**MINIMAL_NEAR, key: [1.0, 1.0]})
 
     def test_both_geometries_rejected(self):
         with pytest.raises(ScenarioError, match="both"):
@@ -122,7 +123,7 @@ class TestScenarioLoading:
             ({"threshold": 1.0}, "threshold"),
             ({"M": 0}, "'M'"),
             ({"R": -2}, "'R'"),
-            ({"B": 500e9}, "2"),
+            ({"B": 500e9}, "'B'"),
             ({"chi": 0.1}, "together"),
             ({"sweep": {"nu_step": -1.0}}, "nu_step"),
             ({"sweep": {"subcarrier": 200}}, "subcarrier"),
