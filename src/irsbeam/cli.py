@@ -2,8 +2,8 @@
 
 Parses a scenario JSON file, dispatches to the design or sweep operations,
 and serializes the result as CSV (one record per grid point, 17 significant
-digits) or JSON ({axes, values, meta}) for external plotting. Exit codes:
-0 success, 2 scenario/subcommand problem, 3 I/O failure.
+digits, streamed row by row) or JSON ({axes, values, meta}) for plotting.
+Exit codes: 0 success, 2 scenario/subcommand problem, 3 I/O failure.
 
 Each subcommand is one entry of ``_SUBCOMMANDS``: its help text and its
 handler. A ``far-`` or ``near-`` name prefix limits the subcommand to
@@ -14,6 +14,7 @@ computes; ``--format`` picks only the artifact's encoding.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -36,42 +37,47 @@ EXIT_SCENARIO = 2
 EXIT_IO = 3
 
 
-def _write(path, out_format, header, columns, payload) -> None:
-    """Write ``columns`` under ``header`` as CSV, or ``payload`` as JSON.
+_CELL = "%.17g"  # 17 significant digits round-trip float64 exactly
 
-    The CSV table is built only for CSV, from equal-size columns of any shape
-    flattened row-major. Its rows end in CRLF and hold 17 significant digits, which round-trip
-    float64 exactly; the names of a (name, value) object table are written
-    as they are. JSON writes numpy arrays as nested lists.
+
+def _write(path, out_format, header, rows, payload) -> None:
+    """Write ``rows`` of string cells under ``header`` as CSV, or ``payload`` as JSON.
+
+    CSV streams the rows to the file one by one, each ending in CRLF; JSON
+    writes numpy arrays as nested lists.
     """
     if out_format == "csv":
-        table = np.column_stack([np.ravel(c) for c in columns])
         with open(path, "w", newline="") as fh:
-            fmt = ("%s", "%.17g") if table.dtype == object else "%.17g"
-            np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header),
-                       comments="", newline="\r\n")
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
     else:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
             fh.write("\n")
 
 
-def _named(values: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The names and the values of ``values`` as two object columns."""
-    return np.array(list(values), dtype=object), np.array(list(values.values()), dtype=object)
+def _named(values: dict):
+    """(name, value) rows of ``values``: the names as they are, the values as cells."""
+    return ((name, _CELL % value) for name, value in values.items())
+
+
+def _grid_rows(gain_map: GainMap):
+    """One CSV row per grid point: each axis point formatted once, each value as read."""
+    points = itertools.product(*([_CELL % p for p in ax.points.tolist()] for ax in gain_map.axes))
+    for cells, value in zip(points, map(_CELL.__mod__, gain_map.values.flat)):
+        yield (*cells, value)
 
 
 def write_gain_map(path, gain_map: GainMap, out_format: str, meta: dict) -> None:
-    """Serialize a gain map: CSV has one row per grid point, JSON keeps axes."""
+    """Serialize a gain map: CSV streams one row per grid point, JSON keeps axes."""
     axes = gain_map.axes
-    grid = np.meshgrid(*(ax.points for ax in axes), indexing="ij", copy=False)
     payload = {
         "axes": [{"name": ax.name, "unit": ax.unit, "points": ax.points} for ax in axes],
         "values": gain_map.values,
         "meta": meta | {"normalized": True},
     }
     header = [ax.name for ax in axes] + ["value"]
-    _write(path, out_format, header, [*grid, gain_map.values], payload)
+    _write(path, out_format, header, _grid_rows(gain_map), payload)
 
 
 def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
@@ -91,9 +97,10 @@ def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     phases = design.phases.phases
     delays = design.delays.delays if design.delays is not None else np.zeros(phases.size)
     columns = (np.arange(1, phases.size + 1), phases, delays)
+    rows = zip(*(map(_CELL.__mod__, column.flat) for column in columns))
     meta = {"regime": scenario.regime, "design": scenario.design} | design.summary
     payload = {"phases": phases, "delays": delays, "meta": meta}
-    _write(out_path, out_format, ["element", "phase_rad", "delay_s"], columns, payload)
+    _write(out_path, out_format, ["element", "phase_rad", "delay_s"], rows, payload)
     return {"elements": scenario.n_elements}
 
 

@@ -37,6 +37,8 @@ MAX_COUNT = 2**20
 """Largest element count R and subcarrier count M a scenario may ask for."""
 MAX_GRID_POINTS = 2**22
 """Most cells a scenario's sweep grid may have: rows x directions (far), x x y (near)."""
+MAX_ELEMENT_EVALS = 2**30
+"""Most element evaluations, points x R, that one sweep of a scenario may make."""
 
 _TOP_KEYS = {
     "regime", "f_c", "B", "M", "R", "d", "nu0", "chi", "psi",
@@ -210,20 +212,26 @@ def _parse_sweep(raw) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def _check_sweep_grid(s: SweepSpec, far: bool) -> None:
+def _check_sweep_grid(s: SweepSpec, far: bool, n_elements: int, n_subcarriers: int) -> None:
     """Reject the regime's sweep grid, before anything is allocated, unless its
-    step divides the span and it has at most MAX_GRID_POINTS cells. Errors name
-    the regime's step field."""
-    name = "field 'nu_step'" if far else "field 'step_m'"
+    step divides the span and it has at most MAX_GRID_POINTS cells, and reject
+    the grid or the M-point subcarrier sweep if it makes more than
+    MAX_ELEMENT_EVALS element evaluations. Errors name the fields at fault."""
+    field = "nu_step" if far else "step_m"
     try:
         if far:  # subcarrier rows x directions
             cells = len(s.subcarriers) * grid_size(s.nu_start, s.nu_stop, s.nu_step)
         else:  # x x y
             cells = grid_size(-s.half_span_m, s.half_span_m, s.step_m) ** 2
     except ValueError as exc:
-        raise ScenarioError(f"{name}: {exc}") from None
+        raise ScenarioError(f"field '{field}': {exc}") from None
     if cells > MAX_GRID_POINTS:
-        raise ScenarioError(f"{name} gives a sweep grid of {cells} cells, over {MAX_GRID_POINTS}")
+        raise ScenarioError(
+            f"field '{field}' gives a sweep grid of {cells} cells, over {MAX_GRID_POINTS}")
+    for key, points in ((field, cells), ("M", n_subcarriers)):
+        if points * n_elements > MAX_ELEMENT_EVALS:
+            raise ScenarioError(f"fields 'R' and '{key}' give {points * n_elements} element "
+                                f"evaluations in one sweep, over {MAX_ELEMENT_EVALS}")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -307,7 +315,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not 0 <= s <= m:
             raise ScenarioError(f"sweep subcarrier index {s} outside 0..{m}")
     sweep = replace(sweep, subcarriers=resolved_rows, subcarrier=resolved_row)
-    _check_sweep_grid(sweep, regime == "far")
+    _check_sweep_grid(sweep, regime == "far", n_elements, m)
 
     return Scenario(
         regime=regime,

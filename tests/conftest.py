@@ -1,4 +1,6 @@
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,14 @@ settings.load_profile("irsbeam")
 
 def pytest_configure(config):
     # Hypothesis caches the constants it reads from the source in its home
-    # directory, ./.hypothesis by default; keep them in pytest's own cache.
+    # directory, ./.hypothesis by default; keep them in pytest's own cache, or,
+    # without the cache plugin, in a temporary directory outside the checkout.
     if config.pluginmanager.has_plugin("cacheprovider"):
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+    else:
+        home = tempfile.mkdtemp(prefix="irsbeam-hypothesis-")
+        config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+        set_hypothesis_home_dir(home)
 
 
 @pytest.fixture

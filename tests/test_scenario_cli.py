@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -12,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import irsbeam
 from irsbeam import (
@@ -25,7 +29,7 @@ from irsbeam import (
     squint_metrics,
     subcarrier_sweep_far,
 )
-from irsbeam.cli import _SUBCOMMANDS, build_parser, main, read_gain_map_csv
+from irsbeam.cli import _SUBCOMMANDS, build_parser, main, read_gain_map_csv, write_gain_map
 from irsbeam.scan import DEFAULT_THRESHOLD
 from irsbeam.scenario import (
     _DESIGNS,
@@ -34,6 +38,7 @@ from irsbeam.scenario import (
     _TOP_KEYS,
     DEFAULT_N_SUBCARRIERS,
     MAX_COUNT,
+    MAX_ELEMENT_EVALS,
     MAX_GRID_POINTS,
     SweepSpec,
 )
@@ -242,6 +247,18 @@ class TestScenarioLoading:
                          "field 'step_m': step 0.003 does not divide", id="near-divide"),
             pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 0.001, "half_span_m": 1.024}},
                          "field 'step_m' gives a sweep grid of 4198401 cells", id="near-edge"),
+            # element evaluations over MAX_ELEMENT_EVALS: 3 rows x 20001 directions x 2^15,
+            # 2001^2 cells x 512, and M x R = 2^20 x 2^11
+            pytest.param({**MINIMAL_FAR, "R": 2**15, "sweep": {"nu_step": 1e-4}},
+                         "fields 'R' and 'nu_step' give 1966178304 element evaluations",
+                         id="far-evals"),
+            pytest.param({**MINIMAL_NEAR, "R": 512, "sweep": {"half_span_m": 0.1,
+                                                              "step_m": 1e-4}},
+                         "fields 'R' and 'step_m' give 2050048512 element evaluations",
+                         id="near-evals"),
+            pytest.param({**MINIMAL_FAR, "R": 2**11, "M": 2**20},
+                         "fields 'R' and 'M' give 2147483648 element evaluations",
+                         id="subcarrier-evals"),
         ],
     )
     def test_sweep_grid_checked_at_load(self, tmp_path, capsys, body, message):
@@ -275,6 +292,8 @@ class TestScenarioLoading:
         assert scenario_from_dict(near).sweep.step_m == 0.001
         far = {**MINIMAL_FAR, "sweep": {"nu_step": 2.0**-14, "subcarriers": [1]}}
         assert scenario_from_dict(far).sweep.nu_step == 2.0**-14
+        assert MAX_ELEMENT_EVALS == 2**30
+        assert scenario_from_dict({**MINIMAL_FAR, "R": 2**10, "M": 2**20}).n_elements == 2**10
 
 
 class TestCli:
@@ -521,3 +540,80 @@ class TestPresetRuns:
                               env={**os.environ, "PYTHONPATH": package_root})
         assert proc.returncode == 0, proc.stderr
         assert Path(proc.stdout.strip()) == preset_path("fig3")
+
+
+def _savetxt_reference(subcommand: str, payload: dict) -> bytes:
+    """The CSV that ``np.savetxt`` writes for a subcommand's JSON artifact ``payload``."""
+    fmt = "%.17g"
+    if subcommand == "design":
+        header = ["element", "phase_rad", "delay_s"]
+        columns = [np.arange(1, len(payload["phases"]) + 1), payload["phases"], payload["delays"]]
+    elif subcommand in ("metrics", "fraunhofer"):
+        named = {k: v for k, v in payload.items() if k != "meta"}
+        header = ["metric", "value"]
+        columns = [np.array(list(named), dtype=object),
+                   np.array(list(named.values()), dtype=object)]
+        fmt = ("%s", "%.17g")
+    else:
+        axes = payload["axes"]
+        header = [ax["name"] for ax in axes] + ["value"]
+        grid = np.meshgrid(*(ax["points"] for ax in axes), indexing="ij")
+        columns = [*grid, payload["values"]]
+    buf = io.StringIO(newline="")
+    np.savetxt(buf, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt, delimiter=",",
+               header=",".join(header), comments="", newline="\r\n")
+    return buf.getvalue().encode()
+
+
+CSV_SCENARIOS = {name: json.loads(preset_path(name).read_text()) for name in PRESET_NAMES} | {
+    "far-R1": {**MINIMAL_FAR, "R": 1, "M": 8},
+    "near-R4": {**MINIMAL_NEAR, "R": 4, "M": 8,
+                "sweep": {"subcarrier": 1, "half_span_m": 0.02, "step_m": 0.005}},
+}
+
+
+class TestCsvArtifacts:
+    @pytest.mark.parametrize("name", list(CSV_SCENARIOS))
+    def test_csv_matches_savetxt_of_json_artifact(self, tmp_path, name):
+        # every CSV artifact holds the bytes np.savetxt writes for the same run's data
+        path = write_scenario(tmp_path, CSV_SCENARIOS[name])
+        s = load_scenario(path)
+        compared = []
+        for subcommand in _SUBCOMMANDS:
+            regime = subcommand.partition("-")[0]
+            if regime in ("far", "near") and regime != s.regime:
+                continue
+            if subcommand == "fraunhofer" and s.n_elements == 1:
+                continue  # exits 2: a single element has no aperture
+            csv_out, json_out = tmp_path / f"{subcommand}.csv", tmp_path / f"{subcommand}.json"
+            for out, fmt in ((csv_out, "csv"), (json_out, "json")):
+                assert main([subcommand, "--scenario", str(path), "--out", str(out),
+                             "--format", fmt]) == 0
+            reference = _savetxt_reference(subcommand, json.loads(json_out.read_text()))
+            assert csv_out.read_bytes() == reference, subcommand
+            compared.append(subcommand)
+        assert len(compared) == (4 if s.n_elements == 1 else 5)
+
+    @given(st.data())
+    def test_gain_map_csv_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300])
+        points = st.one_of(
+            st.lists(st.integers(-2**53, 2**53), min_size=1, max_size=50),
+            st.lists(st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False)),
+                     min_size=1, max_size=50),
+        )
+        axes = tuple(
+            Axis(name, "unit", np.array(data.draw(points, label=f"{name} points")))
+            for name in ("x", "y")[: data.draw(st.integers(1, 2), label="axes")]
+        )
+        shape = tuple(ax.points.size for ax in axes)
+        values = data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))), label="values")
+        out = tmp_path_factory.getbasetemp() / "round-trip.csv"
+        write_gain_map(out, GainMap(axes, values), "csv", {})
+        header, table = read_gain_map_csv(out)
+        assert header == [ax.name for ax in axes] + ["value"]
+        grid = np.meshgrid(*(ax.points for ax in axes), indexing="ij")
+        expected = np.column_stack([np.ravel(c).astype(np.float64) for c in [*grid, values]])
+        # bit for bit: -0.0, subnormals and the extremes must come back unchanged
+        assert table.tobytes() == expected.tobytes()
