@@ -4,7 +4,8 @@ co-design with exact band-wide refocusing.
 The gain uses the package's one phase convention (see :mod:`irsbeam.model`)
 with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). Distances
 are computed in double precision straight from coordinates; no Fresnel or
-Taylor approximation is ever substituted.
+Taylor approximation is ever substituted. The path factor takes the exp of
+the path phase reduced to one turn (accuracy in :mod:`irsbeam.model`).
 """
 
 from __future__ import annotations
@@ -41,17 +42,26 @@ def near_gain_row(
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
     if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
-    if not np.isfinite(targets_xy).all():
-        bad = targets_xy[~np.isfinite(targets_xy).all(axis=-1)][0]
-        raise ValueError(f"point {tuple(bad.tolist())} is not finite")
+
+    # the weights take the BS leg where they are per frequency anyway; elsewhere
+    # it would cost more exps there than its turns cost here (see irsbeam.model)
+    fold = delays is not None or np.size(freq_hz) == 1
 
     def exps(lo, hi, scale, out):
-        paths = geom.bs_distances + geom.element_distances(targets_xy[lo:hi])
-        np.exp(np.multiply(-1j * scale[:, None, None], paths, out=out), out=out)
+        # turns (s / 2 pi) L less their nearest integer (written into out.real,
+        # free until the exp), so that the exp's argument lies in [-pi, pi]
+        per_m = (scale / TWO_PI)[:, None, None]
+        turns = np.multiply(per_m, geom.element_distances(targets_xy[lo:hi]))
+        if not fold:
+            bs = per_m * geom.bs_distances
+            turns += bs - np.rint(bs)
+        whole = np.rint(turns, out=out.real)
+        turns -= whole
+        np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
 
     gains = _array_gain(
         cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
-        TWO_PI / cfg.wavelength_m, phases, delays,
+        TWO_PI / cfg.wavelength_m, phases, delays, geom.bs_distances if fold else None,
     )
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 

@@ -14,7 +14,7 @@ from irsbeam import (
     subcarrier_frequencies,
 )
 from conftest import make_geometry
-from oracles import near_gain_brute_force
+from oracles import near_gain_brute_force, near_gain_longdouble
 
 
 class TestElementDistances:
@@ -30,6 +30,22 @@ class TestElementDistances:
             geometry64.element_distances((1.0, 1.0))
         with pytest.raises(ValueError, match=r"point \(1.0, 1.0\) coincides"):
             geometry64.element_distances([(3.0, 0.0), (1.0, 1.0)])
+
+    def test_overflowing_target_rejected(self, geometry64):
+        # 1e200 is finite, but its square is not
+        with pytest.raises(ValueError, match=r"point \(1e\+200, 0.0\) is so far away"):
+            geometry64.element_distances([(3.0, 0.0), (1e200, 0.0)])
+        with pytest.raises(ValueError, match=r"point \(3.0, -1e\+160\) is so far away"):
+            geometry64.element_distances((3.0, -1e160))
+
+    def test_overflowing_endpoint_rejected(self, cfg200):
+        for endpoints in ({"bs_xy": (0.0, 1e200)}, {"user_xy": (-1e200, 0.0)}):
+            label = "BS" if "bs_xy" in endpoints else "user"
+            with pytest.raises(ValueError, match=rf"{label} point \(.*e\+200.*\) is so far away"):
+                NearFieldGeometry(
+                    **{"bs_xy": (0.0, 0.0), "user_xy": (3.0, 0.0), **endpoints},
+                    irs_origin_xy=(1.0, 1.0), array=IrsArray.half_wavelength(cfg200, 8),
+                )
 
     def test_monotone_for_point_left_of_array_on_its_line(self, geometry64):
         d = geometry64.element_distances((0.0, 1.0))
@@ -109,6 +125,36 @@ class TestBeamGain:
     def test_profile_length_mismatch_rejected(self, geometry64, cfg200):
         with pytest.raises(ValueError, match="length"):
             near_gain_row(geometry64, cfg200, 200e9, [(3.0, 0.0)], PhaseProfile(np.zeros(8)))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("n_elements", [16, 64, 256])
+def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
+    """Each element's phase passes through about a dozen float64 roundings
+    (element position, offsets, squares, sqrt, scale, products, sums), each of
+    at most half an ulp of a quantity no larger than s L_max, the largest phase
+    magnitude: s = (2 pi / lambda_c)(1 + f/f_c) and L_max the longest
+    BS-to-element-to-target path (every coordinate here is shorter). So eight
+    ulp of s L_max bound each term's phase error, and R of them a gain's."""
+    geom = make_geometry(cfg200, n_elements)
+    rng = np.random.default_rng(n_elements)
+    points = np.array(geom.user_xy) + rng.uniform(-0.5, 0.5, (3000, 2))
+    freqs = subcarrier_frequencies(cfg200)[[0, -1]]
+    longest = (geom.bs_distances + geom.element_distances(points)).max()
+    scale = (2 * np.pi / cfg200.wavelength_m) * (1.0 + freqs.max() / cfg200.carrier_hz)
+    bound = n_elements * 8 * np.spacing(scale * longest)
+    # the fig6 design at both band edges in one call, the fig8 design at the lowest
+    phases = near_optimal_phases(geom, cfg200)
+    rows = near_gain_row(geom, cfg200, freqs, points, phases)
+    for f, got in zip(freqs, rows):
+        assert np.abs(got - near_gain_longdouble(cfg200, geom, f, points, phases)).max() <= bound
+    dam = near_dam_design(geom, cfg200)
+    got = near_gain_row(geom, cfg200, freqs[0], points, dam.phases, dam.delays)
+    want = near_gain_longdouble(cfg200, geom, freqs[0], points, dam.phases, dam.delays)
+    assert np.abs(got - want).max() <= bound
 
 
 class TestOptimalPhases:
