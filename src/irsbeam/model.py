@@ -38,23 +38,19 @@ the polynomial in O((N + R) log(N + R)) instead of O(N R) (see
 errs from the Dirichlet form by at most 7.4e-10 (the kernel: 6.2e-10), and its
 normalized gains differ from the kernel's by at most 6.8e-13.
 
-In the near field the path splits into the BS leg d_r^BR, the same for every
-target, and the target leg. Where the weights are computed per frequency
-anyway (a delay profile, or one frequency), the kernel folds the BS leg's
-factor exp(-j s d_r^BR), with s = (2 pi / lambda_c)(1 + f/f_c), into them and
-the path factor covers the target leg alone. Elsewhere that would cost one more
-exp per (frequency, element), so the path factor adds the BS leg's turns
-(s / 2 pi) d_r^BR, less their nearest integer, to the target leg's. Either way
-the summed distance is never rounded. The path factor forms the turns
-t = (s / 2 pi) d_r^target, subtracts the nearest integer (an exact step) and
-takes exp(-j 2 pi t) of an argument within [-pi, pi], which costs less than
-the exp of s d at some 10^4 rad. The distances are
-sqrt((x - x_r)^2 + (y - y_0)^2). Against a long-double oracle from raw
-coordinates, the fig6 and fig8 heatmap grids (R = 64, lowest subcarrier) err
-by at most 8.6e-13 R and 7.2e-13 R (1.2e-12 R for both with the exp of the
-whole path). Over that grid and 3,000 points around the user, at the band
-edges and the carrier, both designs err by at most 1.7e-12 R, 8.6e-13 R and
-4.2e-13 R at R = 16, 64 and 256 (2.3e-12 R, 1.3e-12 R and 5.9e-13 R).
+In the near field the path factor forms the turns t = s d_r of each leg,
+with s = (1 + f/f_c) / lambda_c in turns per meter, subtracts their nearest
+integers (exact steps) and takes exp(-j 2 pi t) of an argument within
+[-pi, pi], which costs less than the exp of 2 pi s d at some 10^4 rad. The
+BS leg d_r^BR, the same for every target, is reduced on its own and added to
+the target leg's turns, so the summed distance d_r^BR + d_r^target is never
+rounded. The distances are sqrt((x - x_r)^2 + (y - y_0)^2). Against a
+long-double oracle from raw coordinates, the fig6 and fig8 heatmap grids
+(R = 64, lowest subcarrier) err by at most 7.0e-13 R and 7.3e-13 R (1.2e-12 R
+for both with the exp of the whole path). Over that grid and 3,000 points
+around the user, at the band edges and the carrier, both designs err by at
+most 1.5e-12 R, 8.7e-13 R and 4.1e-13 R at R = 16, 64 and 256 (2.3e-12 R,
+1.3e-12 R and 5.9e-13 R).
 """
 
 from __future__ import annotations
@@ -203,7 +199,10 @@ class NearFieldGeometry:
         ``points_xy`` is one ``[x, y]`` point, giving shape (R,), or an (N, 2)
         array of points, giving (N, R). Raises on a point that is not finite,
         coincides with an element, or is so far away that its squared
-        distance overflows.
+        distance overflows. The distance is the sqrt of the summed squared
+        offsets, so below about 1e-154 m it loses precision to underflow in
+        the squares, and below about 1e-162 m it reads 0: such a point counts
+        as coincident.
         """
         points = np.asarray(points_xy, dtype=np.float64)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
@@ -389,16 +388,11 @@ def _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays) -> tuple
     return freqs, wavenumber * (1.0 + freqs / cfg.carrier_hz)
 
 
-def _element_weights(
-    freqs, phases: PhaseProfile, delays: DelayProfile | None, scale=None, fixed_path=None
-) -> np.ndarray:
-    """w[f, r] = exp(j [phi_r - 2 pi f tau_r - s_f P0_r]), P0 a ``fixed_path`` at the
-    ``scale`` s; shape (F, R), or (1, R) with neither delays nor a fixed path."""
+def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -> np.ndarray:
+    """w[f, r] = exp(j [phi_r - 2 pi f tau_r]); shape (F, R), or (1, R) without delays."""
     exponent = phases.phases[None, :]
     if delays is not None:
         exponent = exponent - TWO_PI * freqs[:, None] * delays.delays
-    if fixed_path is not None:
-        exponent = exponent - scale[:, None] * fixed_path
     return np.exp(1j * exponent)
 
 
@@ -411,18 +405,16 @@ def _array_gain(
     wavenumber: float,
     phases: PhaseProfile,
     delays: DelayProfile | None = None,
-    fixed_path: np.ndarray | None = None,
 ) -> np.ndarray:
     """The beam gain of the module docstring on an (F, N) frequency x target grid.
 
     gain[f, n] = |sum_r w[f, r] E[f, n, r]|. The weights w are computed once
-    per block of frequencies: R exps, or R per frequency with a delay profile
-    or a ``fixed_path`` P0, a part of P shared by all targets, whose factor
-    exp(-j s P0) they take in. ``path_factor(lo, hi, s, out)`` writes
-    E = exp(-j s (P - P0)) of targets lo..hi-1 at the scales
+    per block of frequencies: R exps, or R per frequency with a delay profile.
+    ``path_factor(lo, hi, s, out)`` writes E of targets lo..hi-1 at the scales
     s = wavenumber (1 + f/f_c) of the block into ``out``, shape
-    (len(s), hi - lo, R): the powers of z = exp(-j s nu) in the far field,
-    the exps of the exact distances in the near field. Each chunk contracts
+    (len(s), hi - lo, R): the powers of z = exp(-j s nu) in the far field
+    (wavenumber pi), exp(-j 2 pi s d) of the exact distances d in the near field
+    (wavenumber 1/lambda_c, in turns per meter). Each chunk contracts
     E with w in one matmul and holds about KERNEL_CHUNK element evaluations:
     a block of targets, and for short blocks several frequencies. All chunks
     share one ``out`` buffer: a fresh one per chunk is often handed back to the
@@ -433,7 +425,7 @@ def _array_gain(
     if freqs.size * n_targets * n_elements <= KERNEL_CHUNK:
         factor = np.empty((freqs.size, n_targets, n_elements), np.complex128)
         path_factor(0, n_targets, scale, factor)
-        weights = _element_weights(freqs, phases, delays, scale, fixed_path)
+        weights = _element_weights(freqs, phases, delays)
         return np.abs(factor @ weights[..., None])[..., 0]
     out = np.empty((freqs.size, n_targets))
     n_rows = max(1, min(n_targets, KERNEL_CHUNK // n_elements))
@@ -442,7 +434,7 @@ def _array_gain(
     for f0 in range(0, freqs.size, n_freqs):
         f = slice(f0, f0 + n_freqs)
         s = scale[f]
-        weights = _element_weights(freqs[f], phases, delays, s, fixed_path)[..., None]
+        weights = _element_weights(freqs[f], phases, delays)[..., None]
         for lo in range(0, n_targets, n_rows):
             hi = min(lo + n_rows, n_targets)
             factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)

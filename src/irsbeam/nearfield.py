@@ -37,31 +37,32 @@ def near_gain_row(
 
     With ``delays`` omitted, tau_r = 0. ``freq_hz`` is one frequency or an
     array of them; the result has shape ``np.shape(freq_hz) + (N,)`` and is
-    evaluated in bounded-memory chunks. Every point must be finite.
+    evaluated in bounded-memory chunks. Every point must be finite: the
+    frequencies and profiles are checked first, then each chunk's points as
+    ``geom.element_distances`` forms their distances, so a bad point is reported
+    after the chunks before it have been evaluated.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
     if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
 
-    # the weights take the BS leg where they are per frequency anyway; elsewhere
-    # it would cost more exps there than its turns cost here (see irsbeam.model)
-    fold = delays is not None or np.size(freq_hz) == 1
-
     def exps(lo, hi, scale, out):
-        # turns (s / 2 pi) L less their nearest integer (written into out.real,
-        # free until the exp), so that the exp's argument lies in [-pi, pi]
-        per_m = (scale / TWO_PI)[:, None, None]
-        turns = np.multiply(per_m, geom.element_distances(targets_xy[lo:hi]))
-        if not fold:
-            bs = per_m * geom.bs_distances
-            turns += bs - np.rint(bs)
+        # turns s L (s in turns per meter) less their nearest integer (written
+        # into out.real, free until the exp), so that the exp's argument lies in
+        # [-pi, pi]; the BS leg's turns are reduced on their own, so
+        # d^BR + d^target is never rounded
+        s = scale[:, None, None]
+        bs = s * geom.bs_distances
+        bs -= np.rint(bs)
+        turns = np.multiply(s, geom.element_distances(targets_xy[lo:hi]))
+        turns += bs
         whole = np.rint(turns, out=out.real)
         turns -= whole
         np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
 
     gains = _array_gain(
         cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
-        TWO_PI / cfg.wavelength_m, phases, delays, geom.bs_distances if fold else None,
+        1.0 / cfg.wavelength_m, phases, delays,
     )
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 
