@@ -159,7 +159,7 @@ def _run_metrics(subcommand, scenario: Scenario, out_path, out_format) -> dict:
 def _run_fraunhofer(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     if scenario.n_elements == 1:
         raise ScenarioError("fraunhofer needs R >= 2 (a single element has zero aperture)")
-    aperture = (scenario.n_elements - 1) * scenario.spacing_m
+    aperture = (scenario.n_elements - 1) * scenario.array.spacing_m
     boundary = fraunhofer_distance(aperture, scenario.config)
     payload = {"aperture_m": aperture, "fraunhofer_distance_m": boundary,
                "wavelength_m": scenario.config.wavelength_m}

@@ -5,7 +5,7 @@ Directions are the normalized quantity nu = sin(chi) - sin(psi). The gain uses
 the package's one phase convention (see :mod:`irsbeam.model`) with the path
 phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
-ROADMAP item 1 settles the convention. Angle sweeps evaluate their uniform
+the ROADMAP item on honouring ``d`` lands. Angle sweeps evaluate their uniform
 grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`).
 """
 

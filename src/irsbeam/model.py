@@ -18,7 +18,7 @@ and delay profile tau toward a target at frequency f is
 
 where P_r is the frequency-flat path phase of element r. In the far field
 P_r = pi (r-1) nu: the half-wavelength progression, so the spacing ``d`` is
-ignored there (ROADMAP item 1). In the near field
+ignored there (the ROADMAP item on honouring ``d``). In the near field
 P_r = (2 pi / lambda_c)(d_r^BR + d_r^target), from the exact distances.
 
 The kernel splits each term into an element weight and a path factor:

@@ -2,9 +2,10 @@
 
 A scenario names the regime (far or near field), the wideband configuration,
 the array, the link geometry, the design kind (phase-only or joint
-phase/delay), and optional sweep parameters. All frequencies are plain Hz
-numbers, distances are meters and angles radians; there is no unit-suffix
-parsing. The machine-readable schema is published in docs/scenario.schema.json.
+phase/delay), and optional sweep parameters of its regime. All frequencies
+are plain Hz numbers, distances are meters and angles radians; there is no
+unit-suffix parsing. The machine-readable schema is published in
+docs/scenario.schema.json.
 
 Minimal far-field example::
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .model import FarFieldTarget, IrsArray, NearFieldGeometry, WidebandConfig, resolve_subcarrier
 from .scan import (
@@ -40,14 +41,13 @@ MAX_GRID_POINTS = 2**22
 MAX_ELEMENT_EVALS = 2**30
 """Most element evaluations, points x R, that one sweep of a scenario may make."""
 
-_TOP_KEYS = {
-    "regime", "f_c", "B", "M", "R", "d", "nu0", "chi", "psi",
-    "bs", "user", "irs_origin", "design", "sweep", "threshold", "format",
-    "description",
-}
-_SWEEP_KEYS = {
-    "nu_start", "nu_stop", "nu_step", "subcarriers",
-    "half_span_m", "step_m", "subcarrier",
+_FAR_KEYS = ("nu0", "chi", "psi")
+_NEAR_KEYS = ("bs", "user", "irs_origin")
+_TOP_KEYS = {"regime", "f_c", "B", "M", "R", "d", *_FAR_KEYS, *_NEAR_KEYS,
+             "design", "sweep", "threshold", "format", "description"}
+_SWEEP_KEYS = {  # each regime's sweep fields, in SweepSpec order
+    "far": ("nu_start", "nu_stop", "nu_step", "subcarriers"),
+    "near": ("half_span_m", "step_m", "subcarrier"),
 }
 _DESIGNS = ("phases_only", "dam")
 _FORMATS = ("csv", "json")
@@ -60,7 +60,8 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class SweepSpec:
     """Sweep parameters; angle-grid fields drive far sweeps, the span/step and
-    single-subcarrier fields drive near-field heatmaps."""
+    single-subcarrier fields drive near-field heatmaps. A scenario file may
+    set only its own regime's fields; the others keep their defaults."""
 
     nu_start: float = DEFAULT_NU_GRID[0]
     nu_stop: float = DEFAULT_NU_GRID[1]
@@ -73,68 +74,73 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated simulation setup loaded from (or writable to) JSON."""
+    """A fully validated simulation setup loaded from JSON.
 
-    regime: str
+    ``link`` is what the loader checked ``array`` against: the far-field
+    target, or the near-field geometry built on ``array``. Its type fixes
+    the regime.
+    """
+
     config: WidebandConfig
-    n_elements: int
-    spacing_m: float
+    array: IrsArray
+    link: FarFieldTarget | NearFieldGeometry
     design: str = "phases_only"
-    target: FarFieldTarget | None = None
-    bs_xy: tuple[float, float] | None = None
-    user_xy: tuple[float, float] | None = None
-    irs_origin_xy: tuple[float, float] | None = None
     sweep: SweepSpec = SweepSpec()
     threshold: float = DEFAULT_THRESHOLD
     out_format: str = "csv"
 
+    @property
+    def regime(self) -> str:
+        return "near" if isinstance(self.link, NearFieldGeometry) else "far"
+
+    @property
+    def n_elements(self) -> int:
+        return self.array.n_elements
+
+    @property
+    def user_xy(self) -> tuple[float, float] | None:
+        """The near-field user point; None for a far-field scenario."""
+        return self.link.user_xy if self.regime == "near" else None
+
     def make_array(self) -> IrsArray:
-        return IrsArray(n_elements=self.n_elements, spacing_m=self.spacing_m)
+        return self.array
 
     def make_geometry(self) -> NearFieldGeometry:
         if self.regime != "near":
             raise ScenarioError("geometry is only defined for near-field scenarios")
-        return NearFieldGeometry(
-            bs_xy=self.bs_xy,
-            user_xy=self.user_xy,
-            irs_origin_xy=self.irs_origin_xy,
-            array=self.make_array(),
-        )
+        return self.link
 
     def direction(self) -> float:
         """The far-field design direction nu0 (possibly derived from angles)."""
         if self.regime != "far":
             raise ScenarioError("direction is only defined for far-field scenarios")
-        return self.target.direction
+        return self.link.direction
 
     def to_dict(self) -> dict:
+        """The scenario as a JSON-ready document that loads back to an equal Scenario."""
         out = {
             "regime": self.regime,
             "f_c": self.config.carrier_hz,
             "B": self.config.bandwidth_hz,
             "M": self.config.n_subcarriers,
-            "R": self.n_elements,
-            "d": self.spacing_m,
+            "R": self.array.n_elements,
+            "d": self.array.spacing_m,
             "design": self.design,
-            "sweep": asdict(self.sweep) | {"subcarriers": list(self.sweep.subcarriers)},
+            "sweep": {key: getattr(self.sweep, key) for key in _SWEEP_KEYS[self.regime]},
             "threshold": self.threshold,
             "format": self.out_format,
         }
+        link = self.link
         if self.regime == "far":
-            out["nu0"] = self.target.direction
-            if self.target.arrival_rad is not None:
-                out["chi"] = self.target.arrival_rad
-                out["psi"] = self.target.departure_rad
+            out["sweep"]["subcarriers"] = list(self.sweep.subcarriers)
+            out["nu0"] = link.direction
+            if link.arrival_rad is not None:
+                out["chi"] = link.arrival_rad
+                out["psi"] = link.departure_rad
         else:
-            out["bs"] = list(self.bs_xy)
-            out["user"] = list(self.user_xy)
-            out["irs_origin"] = list(self.irs_origin_xy)
+            out |= {"bs": list(link.bs_xy), "user": list(link.user_xy),
+                    "irs_origin": list(link.irs_origin_xy)}
         return out
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _finite(value) -> float | None:
@@ -172,6 +178,11 @@ def _require_point(raw: dict, key: str) -> tuple[float, float]:
     return point
 
 
+def _named(raw: dict, keys) -> str:
+    """The ``keys`` present in ``raw``, quoted and comma-separated."""
+    return ", ".join(f"'{k}'" for k in keys if k in raw)
+
+
 def _far_target(raw: dict) -> FarFieldTarget:
     """The direction of the 'nu0' field, the 'chi'/'psi' angles, or both."""
     if ("chi" in raw) != ("psi" in raw):
@@ -183,16 +194,30 @@ def _far_target(raw: dict) -> FarFieldTarget:
             return FarFieldTarget.from_angles(*angles)
         return FarFieldTarget(nu0, *angles)
     except ValueError as exc:
-        named = ", ".join(f"'{k}'" for k in ("nu0", "chi", "psi") if k in raw)
-        raise ScenarioError(f"far-field target from {named}: {exc}") from exc
+        raise ScenarioError(f"far-field target from {_named(raw, _FAR_KEYS)}: {exc}") from exc
 
 
-def _parse_sweep(raw) -> SweepSpec:
+def _near_geometry(raw: dict, array: IrsArray) -> NearFieldGeometry:
+    """The geometry of the 'bs', 'user' and 'irs_origin' fields, built on ``array``."""
+    for key in _NEAR_KEYS:
+        if key not in raw:
+            raise ScenarioError(f"near-field scenario requires field '{key}'")
+    bs, user, origin = (_require_point(raw, key) for key in _NEAR_KEYS)
+    try:
+        return NearFieldGeometry(bs_xy=bs, user_xy=user, irs_origin_xy=origin, array=array)
+    except ValueError as exc:  # the message opens with the point's label, "BS" or "user"
+        key = "bs" if str(exc).startswith("BS ") else "user"
+        raise ScenarioError(f"field '{key}': {exc} (IRS elements from fields 'irs_origin', "
+                            "'R' and 'd')") from exc
+
+
+def _parse_sweep(raw, regime: str) -> SweepSpec:
     if not isinstance(raw, dict):
         raise ScenarioError(f"field 'sweep' must be an object, got {raw!r}")
-    unknown = set(raw) - _SWEEP_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown sweep field(s): {', '.join(sorted(unknown))}")
+    stray = sorted(set(raw) - set(_SWEEP_KEYS[regime]))  # unknown, or the other regime's
+    if stray:
+        raise ScenarioError(f"field 'sweep' of a {regime}-field scenario does not take "
+                            f"{_named(raw, stray)}")
     kwargs = {}
     for key in ("nu_start", "nu_stop", "nu_step", "half_span_m", "step_m"):
         if key in raw:
@@ -216,22 +241,24 @@ def _check_sweep_grid(s: SweepSpec, far: bool, n_elements: int, n_subcarriers: i
     """Reject the regime's sweep grid, before anything is allocated, unless its
     step divides the span and it has at most MAX_GRID_POINTS cells, and reject
     the grid or the M-point subcarrier sweep if it makes more than
-    MAX_ELEMENT_EVALS element evaluations. Errors name the fields at fault."""
-    field = "nu_step" if far else "step_m"
+    MAX_ELEMENT_EVALS element evaluations. Errors name the fields at fault:
+    the step first, then the span."""
     try:
         if far:  # subcarrier rows x directions
+            step, span = "nu_step", "fields 'nu_start' and 'nu_stop'"
             cells = len(s.subcarriers) * grid_size(s.nu_start, s.nu_stop, s.nu_step)
         else:  # x x y
+            step, span = "step_m", "field 'half_span_m'"
             cells = grid_size(-s.half_span_m, s.half_span_m, s.step_m) ** 2
     except ValueError as exc:
-        raise ScenarioError(f"field '{field}': {exc}") from None
+        raise ScenarioError(f"field '{step}': {exc} of {span}") from None
     if cells > MAX_GRID_POINTS:
-        raise ScenarioError(
-            f"field '{field}' gives a sweep grid of {cells} cells, over {MAX_GRID_POINTS}")
-    for key, points in ((field, cells), ("M", n_subcarriers)):
+        raise ScenarioError(f"field '{step}' gives a sweep grid of {cells} cells with {span}, "
+                            f"over {MAX_GRID_POINTS}")
+    for key, points, tail in ((step, cells, f" with {span}"), ("M", n_subcarriers, "")):
         if points * n_elements > MAX_ELEMENT_EVALS:
             raise ScenarioError(f"fields 'R' and '{key}' give {points * n_elements} element "
-                                f"evaluations in one sweep, over {MAX_ELEMENT_EVALS}")
+                                f"evaluations in one sweep{tail}, over {MAX_ELEMENT_EVALS}")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -243,10 +270,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        raise ScenarioError(f"unknown field(s): {', '.join(sorted(unknown))}")
+        raise ScenarioError(f"unknown field(s): {_named(raw, sorted(unknown))}")
     for key in ("f_c", "B", "R"):
         if key not in raw:
             raise ScenarioError(f"required field '{key}' is missing")
+    if not isinstance(raw.get("description", ""), str):
+        raise ScenarioError(f"field 'description' must be a string, got {raw['description']!r}")
 
     f_c = _require_number(raw, "f_c", positive=True)
     bandwidth = _require_number(raw, "B", positive=True)
@@ -256,44 +285,24 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
-    n_elements = _require_count(raw, "R")
-    spacing = (
-        _require_number(raw, "d", positive=True) if "d" in raw else config.wavelength_m / 2.0
-    )
+    spacing = _require_number(raw, "d", positive=True) if "d" in raw else config.wavelength_m / 2.0
+    array = IrsArray(n_elements=_require_count(raw, "R"), spacing_m=spacing)
 
-    has_far = ("nu0" in raw) or ("chi" in raw) or ("psi" in raw)
-    has_near = ("bs" in raw) or ("user" in raw) or ("irs_origin" in raw)
-    if has_far and has_near:
-        raise ScenarioError("exactly one regime's geometry may be present, got both")
-    if not has_far and not has_near:
+    far_keys, near_keys = _named(raw, _FAR_KEYS), _named(raw, _NEAR_KEYS)
+    if far_keys and near_keys:
+        raise ScenarioError(f"exactly one regime's geometry may be present, "
+                            f"got both: {far_keys} and {near_keys}")
+    if not far_keys and not near_keys:
         raise ScenarioError(
             "no geometry given: set 'nu0' (or 'chi'/'psi') for far field, "
             "or 'bs'/'user'/'irs_origin' for near field"
         )
-    regime = "far" if has_far else "near"
+    regime = "far" if far_keys else "near"
     if "regime" in raw and raw["regime"] != regime:
         raise ScenarioError(
             f"field 'regime' says {raw['regime']!r} but the geometry fields imply {regime!r}"
         )
-
-    target = bs = user = origin = None
-    if regime == "far":
-        target = _far_target(raw)
-    else:
-        for key in ("bs", "user", "irs_origin"):
-            if key not in raw:
-                raise ScenarioError(f"near-field scenario requires field '{key}'")
-        bs = _require_point(raw, "bs")
-        user = _require_point(raw, "user")
-        origin = _require_point(raw, "irs_origin")
-        try:
-            NearFieldGeometry(
-                bs_xy=bs, user_xy=user, irs_origin_xy=origin,
-                array=IrsArray(n_elements=n_elements, spacing_m=spacing),
-            )
-        except ValueError as exc:  # the message opens with the point's label, "BS" or "user"
-            key = "bs" if str(exc).startswith("BS ") else "user"
-            raise ScenarioError(f"field '{key}': {exc}") from exc
+    link = _far_target(raw) if regime == "far" else _near_geometry(raw, array)
 
     design = raw.get("design", "phases_only")
     if design not in _DESIGNS:
@@ -307,30 +316,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"field 'threshold': {exc}") from None
 
-    sweep = _parse_sweep(raw["sweep"]) if "sweep" in raw else SweepSpec()
+    sweep = _parse_sweep(raw.get("sweep", {}), regime)
     # resolve the -1 shorthand for "highest subcarrier" now that M is known
-    resolved_rows = tuple(resolve_subcarrier(config, s) for s in sweep.subcarriers)
-    resolved_row = resolve_subcarrier(config, sweep.subcarrier)
-    for s in resolved_rows + (resolved_row,):
-        if not 0 <= s <= m:
-            raise ScenarioError(f"sweep subcarrier index {s} outside 0..{m}")
-    sweep = replace(sweep, subcarriers=resolved_rows, subcarrier=resolved_row)
-    _check_sweep_grid(sweep, regime == "far", n_elements, m)
+    rows = tuple(resolve_subcarrier(config, s) for s in sweep.subcarriers)
+    sweep = replace(sweep, subcarriers=rows, subcarrier=resolve_subcarrier(config, sweep.subcarrier))
+    for key, indices in (("subcarriers", sweep.subcarriers), ("subcarrier", [sweep.subcarrier])):
+        for s in indices:
+            if not 0 <= s <= m:
+                raise ScenarioError(f"sweep field '{key}': index {s} outside 0..{m}")
+    _check_sweep_grid(sweep, regime == "far", array.n_elements, m)
 
-    return Scenario(
-        regime=regime,
-        config=config,
-        n_elements=n_elements,
-        spacing_m=spacing,
-        design=design,
-        target=target,
-        bs_xy=bs,
-        user_xy=user,
-        irs_origin_xy=origin,
-        sweep=sweep,
-        threshold=float(threshold),
-        out_format=out_format,
-    )
+    return Scenario(config, array, link, design, sweep, float(threshold), out_format)
 
 
 def _parse_int(literal: str) -> int | float:

@@ -7,7 +7,7 @@ import irsbeam
 
 ROOT = Path(__file__).parents[1]
 
-# ROADMAP item 3 makes it the predicted peak that the run record compares
+# the ROADMAP's run-record item makes it the predicted peak that the record compares
 # with the measured argmax of an angle sweep; until then only tests call it
 NO_CALLER_YET = {"far_squint_direction"}
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,7 @@ from irsbeam import (
     SPEED_OF_LIGHT,
     Axis,
     GainMap,
+    NearFieldGeometry,
     ScenarioError,
     fraunhofer_distance,
     load_scenario,
@@ -57,6 +58,18 @@ def write_scenario(tmp_path: Path, body: dict, name="scenario.json") -> Path:
     return path
 
 
+def assert_rejected(tmp_path, capsys, body, match):
+    """``body`` fails to load with ``match``, and ``metrics`` on it exits 2 with it."""
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict(body)
+    out = tmp_path / "out.json"
+    path = write_scenario(tmp_path, body)
+    assert main(["metrics", "--scenario", str(path), "--out", str(out)]) == 2
+    assert re.search(match, capsys.readouterr().err)
+    assert not out.exists()
+
+
+SWEEP_FIELDS = [*_SWEEP_KEYS["far"], *_SWEEP_KEYS["near"]]
 MINIMAL_FAR = {"f_c": 200e9, "B": 6e9, "R": 64, "nu0": 0.5}
 MINIMAL_NEAR = {
     "f_c": 200e9, "B": 6e9, "R": 64,
@@ -69,7 +82,7 @@ class TestScenarioLoading:
         s = load_scenario(write_scenario(tmp_path, MINIMAL_FAR))
         assert s.regime == "far"
         assert s.config.n_subcarriers == 128
-        assert s.spacing_m == s.config.wavelength_m / 2
+        assert s.array.spacing_m == s.config.wavelength_m / 2
         assert s.design == "phases_only"
         assert s.threshold == 0.5
         assert s.sweep.subcarriers == (1, 0, 128)
@@ -80,13 +93,27 @@ class TestScenarioLoading:
         geom = s.make_geometry()
         assert geom.element_distances((0.0, 0.0))[0] == np.sqrt(2.0)
 
+    def test_near_geometry_built_once_at_load(self, monkeypatch):
+        built = []
+
+        class Counted(NearFieldGeometry):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(irsbeam.scenario, "NearFieldGeometry", Counted)
+        s = scenario_from_dict(MINIMAL_NEAR)
+        assert s.regime == "near" and len(built) == 1
+        assert s.make_geometry() is built[0] is s.make_geometry()
+        assert s.make_array() is s.array is built[0].array
+
     def test_user_on_element_rejected(self):
         for key in ("user", "bs"):
             with pytest.raises(ScenarioError, match=f"field '{key}': .* coincides"):
                 scenario_from_dict({**MINIMAL_NEAR, key: [1.0, 1.0]})
 
     def test_both_geometries_rejected(self):
-        with pytest.raises(ScenarioError, match="both"):
+        with pytest.raises(ScenarioError, match="both: 'nu0' and 'bs', 'user', 'irs_origin'"):
             scenario_from_dict({**MINIMAL_NEAR, "nu0": 0.5})
 
     def test_missing_geometry_rejected(self):
@@ -141,17 +168,28 @@ class TestScenarioLoading:
             ({"sweep": {"subcarriers": []}}, "'subcarriers' must be a non-empty list"),
             ({"threshold": 0}, "field 'threshold'"),
             ({"threshold": 2}, "field 'threshold'"),
+            ({"sweep": {"subcarriers": [1, 999]}}, "sweep field 'subcarriers': index 999 outside"),
+            ({"sweep": {"half_span_m": 0.1}}, "far-field scenario does not take 'half_span_m'"),
+            ({"description": 7}, "field 'description' must be a string"),
         ],
     )
     def test_invalid_fields_rejected(self, tmp_path, capsys, patch, match):
-        body = {**MINIMAL_FAR, **patch}
-        with pytest.raises(ScenarioError, match=match):
-            scenario_from_dict(body)
-        out = tmp_path / "out.json"
-        path = write_scenario(tmp_path, body)
-        assert main(["metrics", "--scenario", str(path), "--out", str(out)]) == 2
-        assert re.search(match, capsys.readouterr().err)
-        assert not out.exists()
+        assert_rejected(tmp_path, capsys, {**MINIMAL_FAR, **patch}, match)
+
+    @pytest.mark.parametrize(
+        "patch,match",
+        [
+            ({"sweep": {"subcarrier": 200}}, "sweep field 'subcarrier': index 200 outside 0..128"),
+            ({"sweep": {"subcarrier": -2}}, "sweep field 'subcarrier': index -2 outside"),
+            ({"sweep": {"nu_step": 0.3}}, "near-field scenario does not take 'nu_step'"),
+            ({"sweep": {"step_m": 0.01, "subcarriers": [1]}}, "does not take 'subcarriers'$"),
+            # elements placed too far from the BS: the placing fields are named
+            ({"d": 1e300}, r"field 'bs': .* overflows \(IRS elements from fields 'irs_origin', "),
+            ({"irs_origin": [1e200, 0.0]}, r"\(IRS elements from fields 'irs_origin', 'R' and 'd'\)"),
+        ],
+    )
+    def test_invalid_near_fields_rejected(self, tmp_path, capsys, patch, match):
+        assert_rejected(tmp_path, capsys, {**MINIMAL_NEAR, **patch}, match)
 
     @pytest.mark.parametrize(
         "body,field",
@@ -192,14 +230,12 @@ class TestScenarioLoading:
         assert s.direction() == 1.5
         assert s.threshold == 0.2
 
-    def test_round_trip_presets(self, tmp_path):
+    def test_round_trip_presets(self):
         for name in PRESET_NAMES:
             s = load_scenario(preset_path(name))
-            out = tmp_path / f"{name}-rt.json"
-            s.save(out)
-            assert load_scenario(out) == s
+            assert scenario_from_dict(json.loads(json.dumps(s.to_dict()))) == s
 
-    def test_round_trip_constructed(self, tmp_path):
+    def test_round_trip_constructed(self):
         s = scenario_from_dict(
             {
                 **MINIMAL_NEAR,
@@ -211,9 +247,37 @@ class TestScenarioLoading:
                 "sweep": {"subcarrier": 7, "half_span_m": 0.2, "step_m": 0.01},
             }
         )
-        out = tmp_path / "rt.json"
-        s.save(out)
-        assert load_scenario(out) == s
+        assert scenario_from_dict(json.loads(json.dumps(s.to_dict()))) == s
+
+    @settings(max_examples=300)
+    @given(
+        regime=st.sampled_from(["far", "near"]),
+        key=st.sampled_from(sorted(_TOP_KEYS) + SWEEP_FIELDS),
+        value=st.one_of(
+            st.none(), st.text(max_size=4), st.booleans(), st.integers(max_value=0),
+            st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+            st.integers(min_value=2**53), st.lists(st.one_of(st.integers(-2, 200), st.floats()),
+                                                   max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        ),
+    )
+    # a field that sets the sweep span or places the elements, at a value that
+    # fails the check of the step or of the BS point
+    @example(regime="far", key="subcarriers", value=[999])
+    @example(regime="far", key="nu_start", value=2.0)
+    @example(regime="near", key="half_span_m", value=1e4)
+    @example(regime="near", key="d", value=1e300)
+    @example(regime="near", key="irs_origin", value=[1e200, 0.0])
+    def test_loader_names_the_field_it_rejects(self, regime, key, value):
+        # one top-level or sweep field of a minimal scenario takes any JSON value
+        base = MINIMAL_FAR if regime == "far" else MINIMAL_NEAR
+        body = {**base, "sweep": {key: value}} if key in SWEEP_FIELDS else {**base, key: value}
+        try:
+            s = scenario_from_dict(body)
+        except ScenarioError as exc:
+            assert f"'{key}'" in str(exc)
+        else:
+            assert scenario_from_dict(json.loads(json.dumps(s.to_dict()))) == s
 
     @pytest.mark.parametrize("field", ["R", "nu0"])
     def test_huge_integer_literal_names_file_and_field(self, tmp_path, capsys, field):
@@ -259,6 +323,12 @@ class TestScenarioLoading:
             pytest.param({**MINIMAL_FAR, "R": 2**11, "M": 2**20},
                          "fields 'R' and 'M' give 2147483648 element evaluations",
                          id="subcarrier-evals"),
+            # the span fields are named beside the step
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_start": 2.0}},
+                         "1.0] of fields 'nu_start' and 'nu_stop'", id="far-span"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"half_span_m": 1e4}},
+                         "field 'step_m' gives a sweep grid of 16000008000001 cells with "
+                         "field 'half_span_m', over", id="near-span"),
         ],
     )
     def test_sweep_grid_checked_at_load(self, tmp_path, capsys, body, message):
@@ -276,7 +346,7 @@ class TestScenarioLoading:
         top = schema["properties"]
         sweep = top["sweep"]["properties"]
         assert set(top) == _TOP_KEYS
-        assert set(sweep) == _SWEEP_KEYS
+        assert set(sweep) == set(SWEEP_FIELDS)
         assert tuple(top["design"]["enum"]) == _DESIGNS
         assert tuple(top["format"]["enum"]) == _FORMATS
         assert top["R"]["maximum"] == top["M"]["maximum"] == MAX_COUNT
