@@ -4,8 +4,11 @@ co-design with exact band-wide refocusing.
 The gain uses the package's one phase convention (see :mod:`irsbeam.model`)
 with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). Distances
 are computed in double precision straight from coordinates; no Fresnel or
-Taylor approximation is ever substituted. The path factor takes the exp of
-the path phase reduced to one turn (accuracy in :mod:`irsbeam.model`).
+Taylor approximation is ever substituted. The path factor reduces the path
+phase to one turn and builds its phasor from a sine series, a square-root
+cosine and five complex squarings, or on small grids with numpy's complex exp
+(accuracy in :mod:`irsbeam.model`). The design phases are reduced to one turn
+before the 2 pi scale too.
 """
 
 from __future__ import annotations
@@ -22,6 +25,45 @@ from .model import (
     WidebandConfig,
     _array_gain,
 )
+
+SERIES_MIN_EVALS = 1024
+"""Fewest element evaluations in a chunk for which the path factor builds its
+phasors with :func:`_phasors`. Smaller chunks, such as one point's, take
+numpy's complex exp, whose fewer calls cost less there: the two cross near
+this size."""
+
+# sin(k t) / t = k - k^3 t^2 / 3! + ... + k^9 t^8 / 9! with k = -2 pi / 2^5,
+# highest power first; the next term is below 2e-18 of the sum for |t| <= 1/2
+_SQUARINGS = 5
+_K = -TWO_PI / 2**_SQUARINGS
+_SINE_SERIES = (_K**9 / 362880, -(_K**7) / 5040, _K**5 / 120, -(_K**3) / 6, _K)
+
+
+def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(-j 2 pi t) of turns t in [-1/2, 1/2] into the contiguous complex
+    array ``out`` of their size, overwriting ``turns``.
+
+    numpy's complex exp and its sin and cos have no SIMD loop for float64;
+    these steps use only ufuncs that do. The sine of theta = -2 pi t / 2^5
+    (|theta| <= pi/32) comes from its Taylor series to theta^9, the cosine
+    from sqrt(1 - sin^2), and five complex squarings of cos + j sin give
+    exp(j 2^5 theta). t^2 and the series run in the two float64 halves of
+    ``out``, so no temporary is allocated.
+    """
+    square, series = out.reshape(-1).view(np.float64).reshape(2, *turns.shape)
+    np.square(turns, out=square)
+    np.multiply(square, _SINE_SERIES[0], out=series)
+    for c in _SINE_SERIES[1:-1]:
+        series += c
+        series *= square
+    series += _SINE_SERIES[-1]
+    turns *= series
+    out.imag = turns
+    np.square(out.imag, out=out.real)
+    np.subtract(1.0, out.real, out=out.real)
+    np.sqrt(out.real, out=out.real)
+    for _ in range(_SQUARINGS):
+        np.square(out, out=out)
 
 
 def near_gain_row(
@@ -47,18 +89,23 @@ def near_gain_row(
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
 
     def exps(lo, hi, scale, out):
-        # turns s L (s in turns per meter) less their nearest integer (written
-        # into out.real, free until the exp), so that the exp's argument lies in
-        # [-pi, pi]; the BS leg's turns are reduced on their own, so
-        # d^BR + d^target is never rounded
+        # turns s d less their nearest integer, so that the phasor's argument
+        # lies within half a turn; the BS leg's turns are reduced on their own,
+        # so d^BR + d^target is never rounded. With one frequency the turns
+        # overwrite the fresh distances.
         s = scale[:, None, None]
+        d = geom.element_distances(targets_xy[lo:hi])
+        turns = np.multiply(s, d, out=d[None] if s.size == 1 else None)
         bs = s * geom.bs_distances
         bs -= np.rint(bs)
-        turns = np.multiply(s, geom.element_distances(targets_xy[lo:hi]))
         turns += bs
-        whole = np.rint(turns, out=out.real)
-        turns -= whole
-        np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
+        if out.size < SERIES_MIN_EVALS:
+            turns -= np.rint(turns)
+            np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
+        else:  # the nearest integers go into out, free until the phasors are written
+            whole = out.reshape(-1).view(np.float64)[: turns.size].reshape(turns.shape)
+            turns -= np.rint(turns, out=whole)
+            _phasors(turns, out)
 
     gains = _array_gain(
         cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
@@ -67,15 +114,28 @@ def near_gain_row(
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 
 
+def _focus_phases(geom: NearFieldGeometry, cfg: WidebandConfig, k: int) -> PhaseProfile:
+    """The phases 2 pi k (d_r^BR + d_r^RU) / lambda_c, wrapped.
+
+    Their turns k (d^BR + d^RU) f_c / c, some 10^3 to 10^4, are formed and
+    reduced to one turn in ``np.longdouble`` before the 2 pi scale. Where that
+    type is wider than float64 (x86-64 Linux), the phases carry only the
+    rounding of the float64 distances; elsewhere also that of the scale.
+    """
+    ld = np.longdouble
+    turns = (k * ld(cfg.carrier_hz) / ld(SPEED_OF_LIGHT)) * (
+        geom.bs_distances.astype(ld) + geom.user_distances
+    )
+    return PhaseProfile(TWO_PI * (turns - np.rint(turns)).astype(np.float64))
+
+
 def near_optimal_phases(geom: NearFieldGeometry, cfg: WidebandConfig) -> PhaseProfile:
     """Focusing phases (4 pi / lambda_c)(d_r^BR + d_r^RU), wrapped.
 
     Cancels the carrier-frequency propagation phase exactly, so the gain at
     (f_c, user) is R.
     """
-    return PhaseProfile(
-        (2.0 * TWO_PI / cfg.wavelength_m) * (geom.bs_distances + geom.user_distances)
-    )
+    return _focus_phases(geom, cfg, 2)
 
 
 def near_dam_design(geom: NearFieldGeometry, cfg: WidebandConfig) -> Design:
@@ -92,7 +152,7 @@ def near_dam_design(geom: NearFieldGeometry, cfg: WidebandConfig) -> Design:
     path_m = geom.bs_distances + geom.user_distances
     propagation_s = path_m / SPEED_OF_LIGHT
     common = float(propagation_s.max())
-    phases = PhaseProfile((TWO_PI / cfg.wavelength_m) * path_m)
+    phases = _focus_phases(geom, cfg, 1)
     summary = {"common_delay_s": common, "focus_xy": geom.user_xy}
     return Design(phases, DelayProfile(common - propagation_s), summary)
 

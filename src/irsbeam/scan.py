@@ -40,11 +40,15 @@ def check_threshold(threshold: float) -> None:
 
 
 def grid_size(start: float, stop: float, step: float) -> int:
-    """Point count of :func:`grid_points`; the step must be positive and divide the span."""
+    """Point count of :func:`grid_points`; the step must be positive and divide the span.
+
+    The last point may miss ``stop`` by at most 1e-9 of the larger endpoint's
+    magnitude, whatever the step, so a step longer than the span fails.
+    """
     if not np.isfinite(step) or step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     n = np.rint((stop - start) / step)
-    if not n >= 0 or abs(start + n * step - stop) > 1e-9 * max(abs(stop), abs(start), step):
+    if not n >= 0 or abs(start + n * step - stop) > 1e-9 * max(abs(stop), abs(start)):
         raise ValueError(f"step {step} does not divide the span [{start}, {stop}]")
     return int(n) + 1
 

@@ -23,7 +23,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .model import FarFieldTarget, IrsArray, NearFieldGeometry, WidebandConfig, resolve_subcarrier
+from .model import (
+    FarFieldTarget,
+    IrsArray,
+    NearFieldGeometry,
+    WidebandConfig,
+    fraunhofer_distance,
+    resolve_subcarrier,
+)
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
     DEFAULT_HEATMAP_STEP_M,
@@ -303,6 +310,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"field 'regime' says {raw['regime']!r} but the geometry fields imply {regime!r}"
         )
     link = _far_target(raw) if regime == "far" else _near_geometry(raw, array)
+    aperture = (array.n_elements - 1) * spacing  # 0 for one element, which has no boundary
+    if aperture > 0 and not (math.isfinite(aperture)
+                             and math.isfinite(fraunhofer_distance(aperture, config))):
+        raise ScenarioError(f"field 'd': the aperture (R - 1) d = {aperture} m has no finite "
+                            "Fraunhofer distance 2 D^2 / lambda_c")
 
     design = raw.get("design", "phases_only")
     if design not in _DESIGNS:

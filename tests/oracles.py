@@ -67,3 +67,19 @@ def near_gain_longdouble(cfg, geom, freq_hz, targets_xy, phases, delays=None):
         expo -= 2 * pi * f * delays.delays.astype(ld)
     expo -= 2 * pi * np.rint(expo / (2 * pi))
     return np.abs(np.exp(1j * expo.astype(np.float64)).sum(axis=1))
+
+
+def near_focus_phases_longdouble(cfg, geom, turns_per_wavelength):
+    """(2 pi k / lambda_c)(d_r^BR + d_r^RU) for k = ``turns_per_wavelength``,
+    wrapped into [0, 2 pi), in ``np.longdouble`` from the float64 coordinates:
+    the focusing phases for k = 2 and the DAM design's phases for k = 1."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    wavelength = ld(299_792_458.0) / ld(cfg.carrier_hz)
+    ex = ld(geom.irs_origin_xy[0]) + np.arange(geom.array.n_elements).astype(ld) * ld(
+        geom.array.spacing_m
+    )
+    ey = ld(geom.irs_origin_xy[1])
+    path = sum(np.hypot(ex - ld(px), ey - ld(py)) for px, py in (geom.bs_xy, geom.user_xy))
+    phases = (2 * pi * turns_per_wavelength / wavelength) * path
+    return phases - 2 * pi * np.floor(phases / (2 * pi))

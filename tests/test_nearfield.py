@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,15 @@ from irsbeam import (
     near_optimal_phases,
     subcarrier_frequencies,
 )
+from irsbeam.model import TWO_PI
+from irsbeam.nearfield import SERIES_MIN_EVALS, _phasors
 from conftest import make_geometry
-from oracles import near_gain_brute_force, near_gain_longdouble
+from oracles import near_focus_phases_longdouble, near_gain_brute_force, near_gain_longdouble
+
+longdouble_only = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
 
 
 class TestElementDistances:
@@ -127,10 +136,7 @@ class TestBeamGain:
             near_gain_row(geometry64, cfg200, 200e9, [(3.0, 0.0)], PhaseProfile(np.zeros(8)))
 
 
-@pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="np.longdouble is no wider than float64 here",
-)
+@longdouble_only
 @pytest.mark.parametrize("n_elements", [16, 64, 256])
 def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     """Each element's phase passes through about a dozen float64 roundings
@@ -138,7 +144,9 @@ def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     at most half an ulp of a quantity no larger than s L_max, the largest phase
     magnitude: s = (2 pi / lambda_c)(1 + f/f_c) and L_max the longest
     BS-to-element-to-target path (every coordinate here is shorter). So eight
-    ulp of s L_max bound each term's phase error, and R of them a gain's."""
+    ulp of s L_max bound each term's phase error, and R of them a gain's. The
+    phasor of the reduced phase adds a few ulp of 1 per term by either route,
+    the complex exp or, from SERIES_MIN_EVALS evaluations on, the sine series."""
     geom = make_geometry(cfg200, n_elements)
     rng = np.random.default_rng(n_elements)
     points = np.array(geom.user_xy) + rng.uniform(-0.5, 0.5, (3000, 2))
@@ -155,6 +163,80 @@ def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     got = near_gain_row(geom, cfg200, freqs[0], points, dam.phases, dam.delays)
     want = near_gain_longdouble(cfg200, geom, freqs[0], points, dam.phases, dam.delays)
     assert np.abs(got - want).max() <= bound
+    # the fig6 design on a grid small enough for the complex exp
+    few = points[: (SERIES_MIN_EVALS - 1) // n_elements]
+    got = near_gain_row(geom, cfg200, freqs[0], few, phases)
+    assert np.abs(got - near_gain_longdouble(cfg200, geom, freqs[0], few, phases)).max() <= bound
+
+
+def test_phasors_within_squared_start_error_of_exp():
+    """The series start cos + j sin of theta = -2 pi t / 2^5 lies within 4 u of
+    exp(j theta) (u = 2^-53: a few roundings of a sine dominated by its first
+    term, of 1 - sin^2 and of the sqrt). Each complex squaring at most doubles
+    the error and adds 3 u of its own rounding, so after 2^5 the error is at
+    most 2^5 (4 u) + 31 (3 u) < 2^5 (8 u); np.exp's own error is within the slack."""
+    u = np.finfo(np.float64).eps / 2
+    special = [0.5, -0.5, 0.0, 1e-300, -1e-300]
+    turns = np.concatenate((special, np.random.default_rng(5).uniform(-0.5, 0.5, 10**5)))
+    want = np.exp(-TWO_PI * 1j * turns)
+    got = np.empty(turns.size, np.complex128)
+    _phasors(turns.copy(), got)
+    assert np.abs(got - want).max() <= 2**5 * 8 * u
+    assert got[2] == 1.0
+
+
+def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
+    """A 101 x 101 heatmap call at R = 128 (80 chunks) peaks, above its start and
+    its output, at 530,740 bytes under tracemalloc with numpy 2.4 when every
+    chunk takes the complex exp of a separate turns array: the complex chunk
+    buffer, the distances, the turns, and numpy's broadcast buffers while the
+    distances are formed. The series phasors run in the chunk buffer and the
+    turns in the distances, so the peak must not grow."""
+    geom = make_geometry(cfg200, 128)
+    offsets = np.linspace(-0.5, 0.5, 101)
+    cells = np.stack(np.meshgrid(3.0 + offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    phases = near_optimal_phases(geom, cfg200)
+    f = subcarrier_frequencies(cfg200)[0]
+    near_gain_row(geom, cfg200, f, cells, phases)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = near_gain_row(geom, cfg200, f, cells, phases)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 530_740
+
+
+@longdouble_only
+@pytest.mark.parametrize("n_elements", [16, 64, 256])
+def test_design_phases_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
+    """A design phase 2 pi k (d^BR + d^RU) / lambda_c carries the float64
+    roundings of its two distances (element position, offsets, squares, sum,
+    sqrt), each of at most half an ulp of a quantity no larger than L_max, so
+    of s L_max once scaled by s = 2 pi k / lambda_c. The scale, the sum and the
+    reduction to one turn run in np.longdouble, wider than float64 wherever
+    this test runs, and the final 2 pi t and wrap round at below an ulp of
+    2 pi. So eight ulp of s L_max bound each phase's error, the row test's bound."""
+    rng = np.random.default_rng(n_elements)
+    layouts = [((0.0, 0.0), (3.0, 0.0), (1.0, 1.0))] + [
+        (tuple(rng.uniform(-3, 3, 2)), tuple(rng.uniform(-3, 3, 2) - [0, 2]),
+         tuple(rng.uniform(-1, 1, 2) + [0, 2]))
+        for _ in range(5)
+    ]
+    pi = 4 * np.arctan(np.longdouble(1))
+    for bs, user, origin in layouts:
+        geom = NearFieldGeometry(bs, user, origin, IrsArray.half_wavelength(cfg200, n_elements))
+        longest = (geom.bs_distances + geom.user_distances).max()
+        for k, phases in ((2, near_optimal_phases(geom, cfg200)),
+                          (1, near_dam_design(geom, cfg200).phases)):
+            err = phases.phases.astype(np.longdouble) - near_focus_phases_longdouble(
+                cfg200, geom, k
+            )
+            err -= 2 * pi * np.rint(err / (2 * pi))
+            bound = 8 * np.spacing(2 * np.pi * k / cfg200.wavelength_m * longest)
+            assert np.abs(err).max() <= bound
 
 
 class TestOptimalPhases:

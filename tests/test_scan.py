@@ -44,7 +44,7 @@ class TestGridPoints:
         for grid in ((-1.0, 1.0, 0.5), (-1.0, 1.0, 1e-4), (-0.25, 0.25, 0.005), (0.0, 0.0, 1.0)):
             assert grid_size(*grid) == grid_points(*grid).size
         assert grid_size(-1.0, 1.0, 1e-10) == 20_000_000_001
-        for bad in ((0.0, 1.0, 0.3), (1.0, -1.0, 0.5), (-1.0, 1.0, 5e-324)):
+        for bad in ((0.0, 1.0, 0.3), (1.0, -1.0, 0.5), (-1.0, 1.0, 5e-324), (-1.0, 1.0, 1e10)):
             with pytest.raises(ValueError, match="divide"):
                 grid_size(*bad)
 

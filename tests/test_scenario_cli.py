@@ -309,6 +309,13 @@ class TestScenarioLoading:
                          "field 'step_m' gives a sweep grid", id="near-huge"),
             pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 0.003}},
                          "field 'step_m': step 0.003 does not divide", id="near-divide"),
+            # a step far longer than the span would leave one point
+            pytest.param({**MINIMAL_FAR, "sweep": {"nu_step": 1e10}},
+                         "field 'nu_step': step 10000000000.0 does not divide",
+                         id="far-step-over-span"),
+            pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 1e9}},
+                         "field 'step_m': step 1000000000.0 does not divide",
+                         id="near-step-over-span"),
             pytest.param({**MINIMAL_NEAR, "sweep": {"step_m": 0.001, "half_span_m": 1.024}},
                          "field 'step_m' gives a sweep grid of 4198401 cells", id="near-edge"),
             # element evaluations over MAX_ELEMENT_EVALS: 3 rows x 20001 directions x 2^15,
@@ -441,6 +448,14 @@ class TestCli:
                                    rtol=1e-12)
         # the reference near-field user at 2-3 m sits inside this boundary
         assert payload["fraunhofer_distance_m"] > 2.24
+
+    def test_infinite_fraunhofer_distance_rejected_at_load(self, tmp_path, capsys):
+        # 63 x 1e300 m is finite, but 2 D^2 / lambda_c overflows
+        scenario = write_scenario(tmp_path, {**MINIMAL_FAR, "d": 1e300})
+        out = tmp_path / "fr.csv"
+        assert main(["fraunhofer", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "field 'd': the aperture (R - 1) d = 6.3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_heatmap_json_meta_reports_argmax(self, tmp_path):
         body = {**MINIMAL_NEAR, "sweep": {"subcarrier": 1, "half_span_m": 0.1,

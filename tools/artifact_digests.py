@@ -1,0 +1,134 @@
+"""Digest every CLI artifact of the shipped presets, to compare two versions.
+
+Runs each preset x subcommand x format (csv, json) through ``irsbeam.cli.main``
+in a temporary directory and prints one line per run:
+
+    <preset>/<subcommand>.<format> <sha256 of the artifact> <max |numeric value|>
+
+A run that exits non-zero prints ``exit<code>:<sha256 of its stderr>`` and
+``-`` in place of the digest and the maximum. Two versions of the package give
+the same artifacts exactly when their outputs ``diff`` clean:
+
+    PYTHONPATH=src python tools/artifact_digests.py > new.txt
+    PYTHONPATH=<other checkout>/src python tools/artifact_digests.py > old.txt
+    diff old.txt new.txt
+
+``--keep DIR`` also copies the artifacts into DIR. ``--compare OLD NEW`` reads
+two such directories and prints, for each artifact in both, the largest
+absolute difference between their numbers (``same`` when the bytes match),
+which bounds how far a version moved the artifacts that are not identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import shutil
+import sys
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+FORMATS = ("csv", "json")
+
+
+def _numbers(path: Path) -> tuple[list[float], list[str]]:
+    """The artifact's numbers in file order, and its non-numeric tokens."""
+    numbers, words = [], []
+    if path.suffix == ".csv":
+        for cell in path.read_text().replace("\n", ",").split(","):  # read as text: CRLF -> LF
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                words.append(cell)
+        return numbers, words
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                words.append(key)
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            numbers.append(float(node))
+        else:
+            words.append(repr(node))
+
+    walk(json.loads(path.read_text()))
+    return numbers, words
+
+
+def digest_lines(keep: Path | None) -> list[str]:
+    from irsbeam import cli
+
+    presets = sorted(p for p in resources.files("irsbeam").joinpath("presets").iterdir()
+                     if p.name.endswith(".json"))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset in presets:
+            for subcommand in cli._SUBCOMMANDS:
+                for fmt in FORMATS:
+                    key = f"{preset.name[:-5]}/{subcommand}.{fmt}"
+                    out = Path(tmp, key.replace("/", "__"))
+                    argv = [subcommand, "--scenario", str(preset), "--out", str(out),
+                            "--format", fmt]
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        code = cli.main(argv)
+                    if code:
+                        sha = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+                        lines.append(f"{key} exit{code}:{sha} -")
+                        continue
+                    sha = hashlib.sha256(out.read_bytes()).hexdigest()
+                    numbers, _ = _numbers(out)
+                    peak = max((abs(v) for v in numbers), default=0.0)
+                    lines.append(f"{key} {sha} {peak!r}")
+                    if keep is not None:
+                        shutil.copyfile(out, keep / out.name)
+    return lines
+
+
+def compare_lines(old: Path, new: Path) -> list[str]:
+    lines = []
+    for a in sorted(old.iterdir()):
+        b = new / a.name
+        key = a.name.replace("__", "/")
+        if not b.exists():
+            lines.append(f"{key} missing")
+        elif a.read_bytes() == b.read_bytes():
+            lines.append(f"{key} same")
+        else:
+            (xa, wa), (xb, wb) = _numbers(a), _numbers(b)
+            if wa != wb or len(xa) != len(xb):
+                lines.append(f"{key} layout differs")
+            else:
+                delta = max((abs(u - v) if math.isfinite(u - v) else math.inf
+                             for u, v in zip(xa, xb)), default=0.0)
+                lines.append(f"{key} max_abs_delta {delta!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, help="also copy the artifacts into this directory")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="compare two --keep directories instead of running the presets")
+    args = parser.parse_args(argv)
+    if args.compare:
+        lines = compare_lines(*args.compare)
+    else:
+        if args.keep is not None:
+            args.keep.mkdir(parents=True, exist_ok=True)
+        lines = digest_lines(args.keep)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
