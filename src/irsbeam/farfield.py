@@ -7,6 +7,7 @@ phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
 the ROADMAP item on honouring ``d`` lands. Angle sweeps evaluate their uniform
 grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`).
+Both designs apply the design rules of :mod:`irsbeam.model` to the turns (r-1) nu0 / 2.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .model import (
     PhaseProfile,
     WidebandConfig,
     _array_gain,
+    _dam_design,
     _element_weights,
     _gain_scales,
+    _phase_only_phases,
     checked_frequencies,
 )
 
@@ -100,11 +103,15 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
     return out
 
 
+def _design_turns(array: IrsArray, direction: float) -> np.ndarray:
+    """Path turns (r-1) nu0 / 2 at nu0, in np.longdouble; raises on nu0 outside [-2, 2]."""
+    FarFieldTarget(direction)
+    return np.arange(array.n_elements, dtype=np.longdouble) * direction / 2
+
+
 def far_optimal_phases(array: IrsArray, direction: float) -> PhaseProfile:
-    """Phase profile 2 pi (r-1) nu0 that maximizes the gain at (f_c, nu0)."""
-    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
-    r = np.arange(array.n_elements, dtype=np.float64)
-    return PhaseProfile(TWO_PI * r * direction)
+    """Phase profile 2 pi (r-1) nu0, wrapped, that maximizes the gain at (f_c, nu0)."""
+    return _phase_only_phases(_design_turns(array, direction))
 
 
 def far_squint_direction(design_direction: float, freq_hz: float, carrier_hz: float) -> float:
@@ -118,32 +125,19 @@ def far_squint_direction(design_direction: float, freq_hz: float, carrier_hz: fl
 
 
 def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> Design:
-    """Joint phase/delay design with exact gain restoration at every frequency.
-
-    delays[r] = -(r-1) nu0 / (2 f_c) for nu0 <= 0, mirrored from the far end
-    for nu0 > 0 so every delay is >= 0 with at least one exact zero;
-    phases[r] = pi (r-1) nu0. At nu = nu0 the residual exponent vanishes for
-    every subcarrier, so the gain equals R across the whole band.
-    """
-    FarFieldTarget(direction)  # rejects nu outside [-2, 2]
-    r = np.arange(array.n_elements, dtype=np.float64)
-    if direction <= 0:
-        delays = -r * direction / (2.0 * cfg.carrier_hz)
-    else:
-        delays = (array.n_elements - 1 - r) * direction / (2.0 * cfg.carrier_hz)
-    phases = PhaseProfile(np.pi * r * direction)
-    return Design(phases, DelayProfile(delays), {"design_direction": float(direction)})
+    """Joint phase/delay design that restores the gain R at nu0 on every subcarrier:
+    phases pi (r-1) nu0, wrapped, and delays -(r-1) nu0 / (2 f_c) plus the common
+    delay that makes the smallest one 0 (the DAM rule of :mod:`irsbeam.model`)."""
+    turns = _design_turns(array, direction)
+    return _dam_design(turns, cfg.carrier_hz, {"design_direction": float(direction)})
 
 
 def far_design(
     array: IrsArray, cfg: WidebandConfig, direction: float, use_dam: bool = False
 ) -> Design:
-    """The design that steers the beam toward ``direction``.
-
-    ``use_dam`` selects the joint phase/delay design of :func:`far_dam_design`
-    over the phase-only optimum of :func:`far_optimal_phases`, whose delays
-    are None. Either summary holds ``design_direction``.
-    """
+    """The design that steers the beam toward ``direction``: :func:`far_dam_design`
+    with ``use_dam``, else the phase-only optimum of :func:`far_optimal_phases`
+    with delays None. Either summary holds ``design_direction``."""
     if use_dam:
         return far_dam_design(array, cfg, direction)
     return Design(far_optimal_phases(array, direction), None, {"design_direction": direction})

@@ -29,14 +29,13 @@ z = exp(-j pi (1 + f/f_c) nu): the array factor is a polynomial in z
 (Schelkunoff, 1943), and its powers cost one exp and R - 1 complex multiplies
 per (frequency, direction) instead of R exps. Their rounding grows with r but
 stays below that of the phases themselves: against the Dirichlet closed form,
-the far gain at R = 1024 over nu in [-2, 2] errs by at most 3.3e-10 (3.2e-10
-with one exp per element), and normalized far gains differ from one exp per
-element by at most 8.4e-14. Angle sweeps skip this kernel: on their uniform nu
-grid, an arc of the unit circle, one chirp-z transform per frequency evaluates
-the polynomial in O((N + R) log(N + R)) instead of O(N R) (see
-``farfield._far_grid_gain``). At R = 1024 over nu in [-2, 2] at step 1e-4 it
-errs from the Dirichlet form by at most 7.4e-10 (the kernel: 6.2e-10), and its
-normalized gains differ from the kernel's by at most 6.8e-13.
+the far gain at R = 1024 over nu in [-2, 2] errs by at most 3.3e-10. Angle
+sweeps skip this kernel: on their uniform nu grid, an arc of the unit circle,
+one chirp-z transform per frequency evaluates the polynomial in
+O((N + R) log(N + R)) instead of O(N R) (see ``farfield._far_grid_gain``). At
+R = 1024 over nu in [-2, 2] at step 1e-4 it errs from the Dirichlet form by at
+most 7.4e-10 (the kernel: 6.2e-10), and its normalized gains differ from the
+kernel's by at most 6.8e-13.
 
 In the near field the path factor forms the turns t = s d_r of each leg,
 with s = (1 + f/f_c) / lambda_c in turns per meter, and subtracts their
@@ -52,12 +51,20 @@ sqrt(1 - sin^2), and five complex squarings of cos + j sin, all inside the
 chunk buffer. Its phasors differ from the complex exp's by at most 4.2e-15, and
 normalized fig6 and fig8 heatmap gains by at most 8e-16. Against a long-double
 oracle from raw coordinates, the fig6 and fig8 heatmap grids (R = 64, lowest
-subcarrier) err by at most 7.0e-13 R and 7.3e-13 R (1.2e-12 R for both with
-the exp of the whole path). Over that grid and 3,000 points around the user,
-at the band edges and the carrier, both designs err by at most 1.5e-12 R,
-8.7e-13 R and 4.1e-13 R at R = 16, 64 and 256 (2.3e-12 R, 1.3e-12 R and
-5.9e-13 R with the exp of the whole path): the rounding of the phases, not of
-their phasors, sets these errors.
+subcarrier) err by at most 7.0e-13 R and 7.3e-13 R. Over that grid and 3,000
+points around the user, at the band edges and the carrier, both designs err by
+at most 1.5e-12 R, 8.7e-13 R and 4.1e-13 R at R = 16, 64 and 256: the rounding
+of the phases, not of their phasors, sets these errors.
+
+One design rule per remedy serves both regimes, in the path turns
+t_r = P_r / 2 pi at the design point. The phase-only design cancels the path
+phase at f_c, 2 P_r: phi_r = 2 pi (2 t_r). The DAM design cancels it at every
+f: phi_r = 2 pi t_r = P_r takes the part flat in f, and the delay
+tau_r = (max t - t_r) / f_c, the common delay max t / f_c less P_r / (2 pi f_c),
+the part f P_r / f_c. Each regime gives only its turns, in ``np.longdouble``:
+(r-1) nu0 / 2 in the far field (exact for R <= 2^11) and
+(d_r^BR + d_r^RU) f_c / c in the near field, reduced to one turn there before
+the 2 pi scale.
 """
 
 from __future__ import annotations
@@ -284,6 +291,23 @@ class Design:
 
     def __post_init__(self):
         object.__setattr__(self, "summary", MappingProxyType(dict(self.summary)))
+
+
+def _turn_phases(turns: np.ndarray) -> PhaseProfile:
+    """The phases 2 pi t of np.longdouble turns t, reduced to one turn before the 2 pi scale."""
+    return PhaseProfile(TWO_PI * (turns - np.rint(turns)).astype(np.float64))
+
+
+def _phase_only_phases(turns: np.ndarray) -> PhaseProfile:
+    """phi_r = 2 pi (2 t_r) of the path turns t_r = P_r / 2 pi at the design point."""
+    return _turn_phases(2 * turns)
+
+
+def _dam_design(turns: np.ndarray, carrier_hz: float, summary: Mapping[str, object]) -> Design:
+    """phi_r = 2 pi t_r and tau_r = (max t - t_r) / f_c of the path turns t_r at the
+    design point; every delay is >= 0, and that of the element with the most turns is 0."""
+    delays = (turns.max() - turns) / np.longdouble(carrier_hz)
+    return Design(_turn_phases(turns), DelayProfile(delays.astype(np.float64)), summary)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ are computed in double precision straight from coordinates; no Fresnel or
 Taylor approximation is ever substituted. The path factor reduces the path
 phase to one turn and builds its phasor from a sine series, a square-root
 cosine and five complex squarings, or on small grids with numpy's complex exp
-(accuracy in :mod:`irsbeam.model`). The design phases are reduced to one turn
-before the 2 pi scale too.
+(accuracy in :mod:`irsbeam.model`). Both designs apply the design rules of
+:mod:`irsbeam.model` to the path turns (d_r^BR + d_r^RU) f_c / c.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .model import (
     PhaseProfile,
     WidebandConfig,
     _array_gain,
+    _dam_design,
+    _phase_only_phases,
 )
 
 SERIES_MIN_EVALS = 1024
@@ -114,56 +116,34 @@ def near_gain_row(
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 
 
-def _focus_phases(geom: NearFieldGeometry, cfg: WidebandConfig, k: int) -> PhaseProfile:
-    """The phases 2 pi k (d_r^BR + d_r^RU) / lambda_c, wrapped.
-
-    Their turns k (d^BR + d^RU) f_c / c, some 10^3 to 10^4, are formed and
-    reduced to one turn in ``np.longdouble`` before the 2 pi scale. Where that
-    type is wider than float64 (x86-64 Linux), the phases carry only the
-    rounding of the float64 distances; elsewhere also that of the scale.
-    """
+def _design_turns(geom: NearFieldGeometry, cfg: WidebandConfig) -> np.ndarray:
+    """Path turns (d_r^BR + d_r^RU) f_c / c at the user, some 10^3 to 10^4, in np.longdouble:
+    where it is wider than float64 (x86-64 Linux) they round only in the distances."""
     ld = np.longdouble
-    turns = (k * ld(cfg.carrier_hz) / ld(SPEED_OF_LIGHT)) * (
-        geom.bs_distances.astype(ld) + geom.user_distances
-    )
-    return PhaseProfile(TWO_PI * (turns - np.rint(turns)).astype(np.float64))
+    path_m = geom.bs_distances.astype(ld) + geom.user_distances
+    return (ld(cfg.carrier_hz) / ld(SPEED_OF_LIGHT)) * path_m
 
 
 def near_optimal_phases(geom: NearFieldGeometry, cfg: WidebandConfig) -> PhaseProfile:
-    """Focusing phases (4 pi / lambda_c)(d_r^BR + d_r^RU), wrapped.
-
-    Cancels the carrier-frequency propagation phase exactly, so the gain at
-    (f_c, user) is R.
-    """
-    return _focus_phases(geom, cfg, 2)
+    """Focusing phases (4 pi / lambda_c)(d_r^BR + d_r^RU), wrapped: they cancel the
+    carrier-frequency propagation phase, so the gain at (f_c, user) is R."""
+    return _phase_only_phases(_design_turns(geom, cfg))
 
 
 def near_dam_design(geom: NearFieldGeometry, cfg: WidebandConfig) -> Design:
-    """Joint phase/delay design refocusing every subcarrier on the user.
-
-    The frequency-dependent part of the propagation phase is absorbed by the
-    per-element delay (d_r^BR + d_r^RU) / c, made causal by the minimal common
-    delay T = max_r (d_r^BR + d_r^RU) / c; the frequency-flat remainder goes
-    into the phase profile. All delays are >= 0 and at least one is exactly
-    zero. The residual exponent at the user then vanishes at every frequency,
-    so the gain equals R across the whole band. The summary holds T as
-    ``common_delay_s`` and the user as ``focus_xy``.
-    """
-    path_m = geom.bs_distances + geom.user_distances
-    propagation_s = path_m / SPEED_OF_LIGHT
-    common = float(propagation_s.max())
-    phases = _focus_phases(geom, cfg, 1)
+    """Joint phase/delay design that restores the gain R at the user on every
+    subcarrier: phases (2 pi / lambda_c)(d_r^BR + d_r^RU), wrapped, and delays
+    T - (d_r^BR + d_r^RU) / c (the DAM rule of :mod:`irsbeam.model`). The summary
+    holds T = max_r (d_r^BR + d_r^RU) / c as ``common_delay_s`` and the user as ``focus_xy``."""
+    common = float((geom.bs_distances + geom.user_distances).max()) / SPEED_OF_LIGHT
     summary = {"common_delay_s": common, "focus_xy": geom.user_xy}
-    return Design(phases, DelayProfile(common - propagation_s), summary)
+    return _dam_design(_design_turns(geom, cfg), cfg.carrier_hz, summary)
 
 
 def near_design(geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False) -> Design:
-    """The design that focuses the beam on the user.
-
-    ``use_dam`` selects the joint phase/delay design of :func:`near_dam_design`
-    over the phase-only focusing phases of :func:`near_optimal_phases`, whose
-    delays are None. Either summary holds ``focus_xy``.
-    """
+    """The design that focuses the beam on the user: :func:`near_dam_design` with
+    ``use_dam``, else the phase-only focusing phases of :func:`near_optimal_phases`
+    with delays None. Either summary holds ``focus_xy``."""
     if use_dam:
         return near_dam_design(geom, cfg)
     return Design(near_optimal_phases(geom, cfg), None, {"focus_xy": geom.user_xy})

@@ -3,6 +3,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -10,6 +11,12 @@ from hypothesis.configuration import set_hypothesis_home_dir
 sys.path.insert(0, str(Path(__file__).parent))
 
 from irsbeam import IrsArray, NearFieldGeometry, WidebandConfig
+
+longdouble_only = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+"""Marks a test whose bound needs np.longdouble wider than float64."""
 
 # One deterministic profile: the same examples on every run, no wall-clock
 # deadline on a shared host, and no example database written to disk.

@@ -4,9 +4,13 @@ These deliberately avoid the library's own code paths: the Dirichlet kernel is
 the closed-form array factor for a uniform phase progression, and the
 near-field oracles sum the spherical-wavefront terms element by element from
 raw coordinates: in float64, or in ``np.longdouble`` for error bounds near
-the float64 rounding of the phases. Tests compare library output against
-these, never the other way round.
+the float64 rounding of the phases. The far design phases come from exact
+rational arithmetic. Tests compare library output against these, never the
+other way round.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +73,16 @@ def near_gain_longdouble(cfg, geom, freq_hz, targets_xy, phases, delays=None):
     return np.abs(np.exp(1j * expo.astype(np.float64)).sum(axis=1))
 
 
+def _near_paths_longdouble(geom):
+    """d_r^BR + d_r^RU in ``np.longdouble`` from the float64 coordinates."""
+    ld = np.longdouble
+    ex = ld(geom.irs_origin_xy[0]) + np.arange(geom.array.n_elements).astype(ld) * ld(
+        geom.array.spacing_m
+    )
+    ey = ld(geom.irs_origin_xy[1])
+    return sum(np.hypot(ex - ld(px), ey - ld(py)) for px, py in (geom.bs_xy, geom.user_xy))
+
+
 def near_focus_phases_longdouble(cfg, geom, turns_per_wavelength):
     """(2 pi k / lambda_c)(d_r^BR + d_r^RU) for k = ``turns_per_wavelength``,
     wrapped into [0, 2 pi), in ``np.longdouble`` from the float64 coordinates:
@@ -76,10 +90,29 @@ def near_focus_phases_longdouble(cfg, geom, turns_per_wavelength):
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))
     wavelength = ld(299_792_458.0) / ld(cfg.carrier_hz)
-    ex = ld(geom.irs_origin_xy[0]) + np.arange(geom.array.n_elements).astype(ld) * ld(
-        geom.array.spacing_m
-    )
-    ey = ld(geom.irs_origin_xy[1])
-    path = sum(np.hypot(ex - ld(px), ey - ld(py)) for px, py in (geom.bs_xy, geom.user_xy))
-    phases = (2 * pi * turns_per_wavelength / wavelength) * path
+    phases = (2 * pi * turns_per_wavelength / wavelength) * _near_paths_longdouble(geom)
     return phases - 2 * pi * np.floor(phases / (2 * pi))
+
+
+def near_dam_delays_longdouble(geom):
+    """The near DAM delays (max_r L_r - L_r) / c of the paths L_r = d_r^BR + d_r^RU,
+    in ``np.longdouble`` from the float64 coordinates."""
+    path = _near_paths_longdouble(geom)
+    return (path.max() - path) / np.longdouble(299_792_458.0)
+
+
+def far_design_phases_exact(n_elements, direction, turns_per_element):
+    """2 pi frac(k (r-1) nu0 / 2) for r = 1..R and k = ``turns_per_element``: the
+    far phase-only phases for k = 2 and the DAM design's phases for k = 1, in
+    [0, 2 pi) as ``np.longdouble``. The fractional turn is exact in rationals
+    (``Fraction`` of the float64 nu0); only its conversion to ``np.longdouble``
+    and the scale by 2 pi round."""
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    fracs = []
+    for r in range(n_elements):
+        turns = Fraction(turns_per_element * r, 2) * Fraction(direction)
+        frac = turns - math.floor(turns)
+        hi = float(frac)
+        fracs.append(ld(hi) + ld(float(frac - Fraction(hi))))
+    return two_pi * np.array(fracs, dtype=ld)

@@ -14,7 +14,8 @@ from irsbeam import (
     subcarrier_frequencies,
 )
 from irsbeam.model import KERNEL_CHUNK
-from oracles import dirichlet_gain
+from conftest import longdouble_only
+from oracles import dirichlet_gain, far_design_phases_exact
 
 
 class TestOptimalPhases:
@@ -206,7 +207,10 @@ class TestDamDesign:
     def test_phase_values_follow_halved_progression(self, array64, cfg200):
         design = far_dam_design(array64, cfg200, 0.5)
         expected = np.mod(np.pi * np.arange(64) * 0.5, 2 * np.pi)
-        np.testing.assert_allclose(design.phases.phases, expected, atol=1e-12)
+        # compared as angles: a phase of 0 and 2 pi - 7e-15 are the same angle
+        diff = design.phases.phases - expected
+        diff -= 2 * np.pi * np.round(diff / (2 * np.pi))
+        np.testing.assert_allclose(diff, 0.0, atol=1e-12)
 
     def test_restores_full_gain_across_band(self, array64, cfg200):
         design = far_dam_design(array64, cfg200, 0.5)
@@ -228,3 +232,26 @@ class TestDamDesign:
         assert all(a >= b for a, b in zip(over_b, over_b[1:]))
         over_r = [min_gain(n, 6e9) for n in (10, 32, 64, 128)]
         assert all(a >= b for a, b in zip(over_r, over_r[1:]))
+
+
+@longdouble_only
+@pytest.mark.parametrize("n_elements", [16, 64, 256, 1024])
+def test_design_phases_within_two_ulp_of_exact_oracle(cfg200, n_elements):
+    """The turns k (r-1) nu0 / 2 are exact in np.longdouble, whose 64-bit
+    significand holds an 11-bit k (r-1) times a 53-bit nu0, and so is their
+    reduction to one turn t, |t| <= 1/2. With u = 2**-53 and an ulp of 2 pi
+    8u, what rounds is: t to float64, 2 pi u / 2 (0.2 ulp); the float64 2 pi,
+    an error of half an ulp times |t| (0.25 ulp); the product, at most pi
+    (0.25 ulp); and the wrap of a negative phase into [0, 2 pi), the float64
+    2 pi's error plus one rounding (1 ulp). So 2 ulp of 2 pi bound each phase's
+    error, compared as angles."""
+    rng = np.random.default_rng(n_elements)
+    array = IrsArray.half_wavelength(cfg200, n_elements)
+    pi = 4 * np.arctan(np.longdouble(1))
+    bound = 2 * np.spacing(2 * np.pi)
+    for nu0 in [0.5, -0.5, 2.0, -2.0, 1 / 3, *rng.uniform(-2, 2, 10)]:
+        for k, phases in ((2, far_optimal_phases(array, nu0)),
+                          (1, far_dam_design(array, cfg200, nu0).phases)):
+            err = phases.phases.astype(np.longdouble) - far_design_phases_exact(n_elements, nu0, k)
+            err -= 2 * pi * np.rint(err / (2 * pi))
+            assert np.abs(err).max() <= bound, (nu0, k)

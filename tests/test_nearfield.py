@@ -17,12 +17,12 @@ from irsbeam import (
 )
 from irsbeam.model import TWO_PI
 from irsbeam.nearfield import SERIES_MIN_EVALS, _phasors
-from conftest import make_geometry
-from oracles import near_focus_phases_longdouble, near_gain_brute_force, near_gain_longdouble
-
-longdouble_only = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-    reason="np.longdouble is no wider than float64 here",
+from conftest import longdouble_only, make_geometry
+from oracles import (
+    near_dam_delays_longdouble,
+    near_focus_phases_longdouble,
+    near_gain_brute_force,
+    near_gain_longdouble,
 )
 
 
@@ -209,6 +209,18 @@ def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
     assert peak - out.nbytes <= 530_740
 
 
+def _random_layouts(cfg, n_elements):
+    """The reference layout and five random ones, seeded by the element count."""
+    rng = np.random.default_rng(n_elements)
+    layouts = [((0.0, 0.0), (3.0, 0.0), (1.0, 1.0))] + [
+        (tuple(rng.uniform(-3, 3, 2)), tuple(rng.uniform(-3, 3, 2) - [0, 2]),
+         tuple(rng.uniform(-1, 1, 2) + [0, 2]))
+        for _ in range(5)
+    ]
+    array = IrsArray.half_wavelength(cfg, n_elements)
+    return [NearFieldGeometry(bs, user, origin, array) for bs, user, origin in layouts]
+
+
 @longdouble_only
 @pytest.mark.parametrize("n_elements", [16, 64, 256])
 def test_design_phases_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
@@ -219,15 +231,8 @@ def test_design_phases_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements)
     reduction to one turn run in np.longdouble, wider than float64 wherever
     this test runs, and the final 2 pi t and wrap round at below an ulp of
     2 pi. So eight ulp of s L_max bound each phase's error, the row test's bound."""
-    rng = np.random.default_rng(n_elements)
-    layouts = [((0.0, 0.0), (3.0, 0.0), (1.0, 1.0))] + [
-        (tuple(rng.uniform(-3, 3, 2)), tuple(rng.uniform(-3, 3, 2) - [0, 2]),
-         tuple(rng.uniform(-1, 1, 2) + [0, 2]))
-        for _ in range(5)
-    ]
     pi = 4 * np.arctan(np.longdouble(1))
-    for bs, user, origin in layouts:
-        geom = NearFieldGeometry(bs, user, origin, IrsArray.half_wavelength(cfg200, n_elements))
+    for geom in _random_layouts(cfg200, n_elements):
         longest = (geom.bs_distances + geom.user_distances).max()
         for k, phases in ((2, near_optimal_phases(geom, cfg200)),
                           (1, near_dam_design(geom, cfg200).phases)):
@@ -237,6 +242,23 @@ def test_design_phases_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements)
             err -= 2 * pi * np.rint(err / (2 * pi))
             bound = 8 * np.spacing(2 * np.pi * k / cfg200.wavelength_m * longest)
             assert np.abs(err).max() <= bound
+
+
+@longdouble_only
+@pytest.mark.parametrize("n_elements", [16, 64, 256])
+def test_dam_delays_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
+    """A path L_r = d_r^BR + d_r^RU carries the float64 roundings of its two
+    distances, within eight ulp of L_max by the design phase test's argument,
+    and a delay (max L - L_r) / c those of two paths. Its scale to turns, the
+    difference and the division by f_c run in np.longdouble; the final float64
+    rounds by at most half an ulp of L_max / c. So 16 ulp of L_max, over c,
+    plus half an ulp of L_max / c bound each delay's error."""
+    for geom in _random_layouts(cfg200, n_elements):
+        longest = (geom.bs_distances + geom.user_distances).max()
+        delays = near_dam_design(geom, cfg200).delays.delays
+        err = delays.astype(np.longdouble) - near_dam_delays_longdouble(geom)
+        bound = 16 * np.spacing(longest) / SPEED_OF_LIGHT + np.spacing(longest / SPEED_OF_LIGHT) / 2
+        assert np.abs(err).max() <= bound
 
 
 class TestOptimalPhases:

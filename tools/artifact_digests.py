@@ -17,6 +17,9 @@ the same artifacts exactly when their outputs ``diff`` clean:
 two such directories and prints, for each artifact in both, the largest
 absolute difference between their numbers (``same`` when the bytes match),
 which bounds how far a version moved the artifacts that are not identical.
+Design phases (the CSV ``phase_rad`` column, the JSON ``phases`` list) are
+compared as angles: their difference is reduced into [-pi, pi] first, so a
+phase that moved from just below 2 pi to 0 counts by how far it turned.
 """
 
 from __future__ import annotations
@@ -34,34 +37,42 @@ from importlib import resources
 from pathlib import Path
 
 FORMATS = ("csv", "json")
+ANGLE_COLUMN, ANGLE_KEY = "phase_rad", "phases"
 
 
-def _numbers(path: Path) -> tuple[list[float], list[str]]:
-    """The artifact's numbers in file order, and its non-numeric tokens."""
-    numbers, words = [], []
+def _numbers(path: Path) -> tuple[list[float], list[str], list[bool]]:
+    """The artifact's numbers in file order, its non-numeric tokens, and for each
+    number whether it is a design phase."""
+    numbers, words, angles = [], [], []
     if path.suffix == ".csv":
-        for cell in path.read_text().replace("\n", ",").split(","):  # read as text: CRLF -> LF
-            try:
-                numbers.append(float(cell))
-            except ValueError:
-                words.append(cell)
-        return numbers, words
+        rows = path.read_text().split("\n")  # read as text: CRLF -> LF
+        columns = rows[0].split(",")
+        phase = columns.index(ANGLE_COLUMN) if ANGLE_COLUMN in columns else None
+        for row in rows:
+            for i, cell in enumerate(row.split(",")):
+                try:
+                    numbers.append(float(cell))
+                    angles.append(i == phase)
+                except ValueError:
+                    words.append(cell)
+        return numbers, words, angles
 
-    def walk(node):
+    def walk(node, angle=False):
         if isinstance(node, dict):
             for key, value in node.items():
                 words.append(key)
-                walk(value)
+                walk(value, key == ANGLE_KEY)
         elif isinstance(node, list):
             for value in node:
-                walk(value)
+                walk(value, angle)
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             numbers.append(float(node))
+            angles.append(angle)
         else:
             words.append(repr(node))
 
     walk(json.loads(path.read_text()))
-    return numbers, words
+    return numbers, words, angles
 
 
 def digest_lines(keep: Path | None) -> list[str]:
@@ -86,7 +97,7 @@ def digest_lines(keep: Path | None) -> list[str]:
                         lines.append(f"{key} exit{code}:{sha} -")
                         continue
                     sha = hashlib.sha256(out.read_bytes()).hexdigest()
-                    numbers, _ = _numbers(out)
+                    numbers, _, _ = _numbers(out)
                     peak = max((abs(v) for v in numbers), default=0.0)
                     lines.append(f"{key} {sha} {peak!r}")
                     if keep is not None:
@@ -104,12 +115,13 @@ def compare_lines(old: Path, new: Path) -> list[str]:
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"{key} same")
         else:
-            (xa, wa), (xb, wb) = _numbers(a), _numbers(b)
+            (xa, wa, angles), (xb, wb, _) = _numbers(a), _numbers(b)
             if wa != wb or len(xa) != len(xb):
                 lines.append(f"{key} layout differs")
             else:
-                delta = max((abs(u - v) if math.isfinite(u - v) else math.inf
-                             for u, v in zip(xa, xb)), default=0.0)
+                delta = max((abs(math.remainder(u - v, math.tau) if angle else u - v)
+                             if math.isfinite(u - v) else math.inf
+                             for u, v, angle in zip(xa, xb, angles)), default=0.0)
                 lines.append(f"{key} max_abs_delta {delta!r}")
     return lines
 
