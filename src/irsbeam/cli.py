@@ -3,17 +3,22 @@
 Parses a scenario JSON file, dispatches to the design or sweep operations,
 and serializes the result as CSV (one record per grid point, 17 significant
 digits, streamed row by row) or JSON ({axes, values, meta}) for plotting.
+JSON is streamed too, one array row at a time, in the bytes that
+``json.dump(payload, indent=2)`` writes for the arrays as nested lists.
 Exit codes: 0 success, 2 scenario/subcommand problem, 3 I/O failure.
 
 Each subcommand is one entry of ``_SUBCOMMANDS``: its help text and its
 handler. A ``far-`` or ``near-`` name prefix limits the subcommand to
 scenarios of that regime. The scenario file fixes every number a run
-computes; ``--format`` picks only the artifact's encoding.
+computes; ``--format`` picks only the artifact's encoding. The argument
+parser is built on the first ``main`` call and reused for the rest of the
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -43,8 +48,10 @@ _CELL = "%.17g"  # 17 significant digits round-trip float64 exactly
 def _write(path, out_format, header, rows, payload) -> None:
     """Write ``rows`` of string cells under ``header`` as CSV, or ``payload`` as JSON.
 
-    CSV streams the rows to the file one by one, each ending in CRLF; JSON
-    writes numpy arrays as nested lists.
+    CSV streams the rows to the file one by one, each ending in CRLF. JSON
+    streams ``payload`` one array row at a time (``_json_chunks``), in the
+    bytes ``json.dump(payload, indent=2)`` writes for the arrays as nested
+    lists, so no whole-map list of Python floats is built.
     """
     if out_format == "csv":
         with open(path, "w", newline="") as fh:
@@ -52,8 +59,43 @@ def _write(path, out_format, header, rows, payload) -> None:
             fh.writelines(",".join(row) + "\r\n" for row in rows)
     else:
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
+            fh.writelines(_json_chunks(payload))
             fh.write("\n")
+
+
+# the stdlib encoder writes finite floats and ints by these reprs
+_REPRS = {"f": float.__repr__, "i": int.__repr__}
+
+
+def _json_chunks(value, indent=""):
+    """The text of ``json.dumps(value, indent=2, default=np.ndarray.tolist)`` in pieces.
+
+    Dicts, lists, tuples and arrays of two or more dimensions are written an
+    item (a row) at a time, a 1-D array in one join of its items' reprs; any
+    other value, and an empty one, is written by ``json.dumps`` itself.
+    """
+    inner = indent + "  "
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.size:
+        encode = _REPRS.get(value.dtype.kind, json.dumps)
+        if encode is float.__repr__ and not np.isfinite(value).all():
+            encode = json.dumps  # NaN and Infinity, as the stdlib spells them
+        yield f"[\n{inner}" + f",\n{inner}".join(map(encode, value.tolist())) + f"\n{indent}]"
+        return
+    if isinstance(value, dict) and value:
+        # each key as the stdlib coerces and quotes it
+        items, brackets = ((json.dumps({k: 0})[1:-4] + ": ", v) for k, v in value.items()), "{}"
+    elif isinstance(value, (list, tuple)) and value or (
+            isinstance(value, np.ndarray) and value.ndim > 1 and len(value)):
+        items, brackets = (("", v) for v in value), "[]"
+    else:
+        yield json.dumps(value, default=np.ndarray.tolist)
+        return
+    sep = brackets[0] + "\n" + inner
+    for prefix, item in items:
+        yield sep + prefix
+        yield from _json_chunks(item, inner)
+        sep = ",\n" + inner
+    yield "\n" + indent + brackets[1]
 
 
 def _named(values: dict):
@@ -196,7 +238,9 @@ def run(subcommand: str, scenario: Scenario, out_path, out_format=None) -> dict:
     return handler(subcommand, scenario, out_path, out_format or scenario.out_format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="irsbeam",
         description="Wideband IRS beam-squint simulator: designs, sweeps and metrics.",

@@ -5,7 +5,9 @@ import pytest
 
 from irsbeam import (
     SPEED_OF_LIGHT,
+    Axis,
     DelayProfile,
+    GainMap,
     IrsArray,
     NearFieldGeometry,
     PhaseProfile,
@@ -15,6 +17,7 @@ from irsbeam import (
     near_optimal_phases,
     subcarrier_frequencies,
 )
+from irsbeam.cli import write_gain_map
 from irsbeam.model import TWO_PI
 from irsbeam.nearfield import SERIES_MIN_EVALS, _phasors
 from conftest import longdouble_only, make_geometry
@@ -207,6 +210,29 @@ def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 530_740
+
+
+def test_json_gain_map_write_holds_a_few_rows_not_the_map(tmp_path):
+    """Writing a 201 x 201 heatmap as JSON streams it a row at a time. One row
+    holds at most 201 x 200 B: a float object and its list slot (32 B), its
+    repr string (at most 49 + 24 B) and its line of the joined row text, twice
+    while the row is bracketed (2 x 32 B) - about 40 KB. Four rows' worth
+    covers that and the file's buffers; converting the whole map to Python
+    floats at once needs at least 40,401 x 32 B = 1.29 MB."""
+    side = np.linspace(-0.5, 0.5, 201)
+    values = np.random.default_rng(7).uniform(0.0, 1.0, (side.size, side.size))
+    gain_map = GainMap((Axis("x", "m", 3.0 + side), Axis("y", "m", side)), values)
+    out = tmp_path / "heatmap.json"
+    write_gain_map(out, gain_map, "json", {"subcommand": "near-heatmap"})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_gain_map(out, gain_map, "json", {"subcommand": "near-heatmap"})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * side.size * 200
 
 
 def _random_layouts(cfg, n_elements):

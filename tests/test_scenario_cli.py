@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -512,6 +513,38 @@ class TestCli:
             assert f"`{name}`" in readme
         assert set(re.findall(r"--[a-z-]+", synopsis)) == {"--scenario", "--out", "--format"}
 
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        # one parser serves every main() call of a process, and a call that exits on
+        # a bad flag or a bad scenario leaves nothing behind for the next one
+        scenarios = {
+            "far": write_scenario(tmp_path, {**MINIMAL_FAR, "R": 4, "M": 8}, "far.json"),
+            "near": write_scenario(tmp_path, CSV_SCENARIOS["near-R4"], "near.json"),
+        }
+
+        def run_all(round_dir):
+            round_dir.mkdir()
+            results = {}
+            for (regime, scenario), subcommand, fmt in itertools.product(
+                    scenarios.items(), _SUBCOMMANDS, ("csv", "json")):
+                out = round_dir / f"{regime}-{subcommand}.{fmt}"
+                code = main([subcommand, "--scenario", str(scenario), "--out", str(out),
+                             "--format", fmt])
+                results[out.name] = (code, out.read_bytes() if out.exists() else None)
+            return results
+
+        first = run_all(tmp_path / "first")
+        # five subcommands per regime in two formats; the other regime's two exit 2
+        assert sum(code == 0 for code, _ in first.values()) == 2 * 5 * 2
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--scenario", str(scenarios["far"]), "--out",
+                  str(tmp_path / "x.json"), "--grid-step", "0.1"])
+        assert exc.value.code == 2
+        assert "--grid-step" in capsys.readouterr().err
+        bad = write_scenario(tmp_path, {**MINIMAL_FAR, "R": 0}, "bad.json")
+        assert main(["design", "--scenario", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+        assert run_all(tmp_path / "second") == first
+        assert build_parser() is build_parser()
+
     def test_csv_bytes_are_pinned(self, tmp_path):
         # CSV artifacts are a header, CRLF row ends and 17 significant digits,
         # with integer-valued cells (element and subcarrier indices) written as "1"
@@ -592,6 +625,16 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["delays"]) == 64
         assert min(payload["delays"]) == 0.0
+
+    def test_artifact_digests_without_the_package_exits_2(self, tmp_path):
+        # -I -S: no PYTHONPATH and no site-packages, so irsbeam cannot be imported
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", str(ROOT / "tools" / "artifact_digests.py")],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "PYTHONPATH=<checkout>/src" in proc.stderr
 
 
 PRESET_SUBCOMMANDS = {
@@ -702,3 +745,57 @@ class TestCsvArtifacts:
         expected = np.column_stack([np.ravel(c).astype(np.float64) for c in [*grid, values]])
         # bit for bit: -0.0, subnormals and the extremes must come back unchanged
         assert table.tobytes() == expected.tobytes()
+
+
+class TestJsonArtifacts:
+    @pytest.mark.parametrize("name", list(CSV_SCENARIOS))
+    def test_json_matches_stdlib_encoder(self, tmp_path, name):
+        # every JSON artifact holds the bytes json.dumps(indent=2) writes for its own data
+        path = write_scenario(tmp_path, CSV_SCENARIOS[name])
+        s = load_scenario(path)
+        compared = []
+        for subcommand in _SUBCOMMANDS:
+            regime = subcommand.partition("-")[0]
+            if regime in ("far", "near") and regime != s.regime:
+                continue
+            if subcommand == "fraunhofer" and s.n_elements == 1:
+                continue  # exits 2: a single element has no aperture
+            out = tmp_path / f"{subcommand}.json"
+            assert main([subcommand, "--scenario", str(path), "--out", str(out),
+                         "--format", "json"]) == 0
+            text = out.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", subcommand
+            compared.append(subcommand)
+        assert len(compared) == (4 if s.n_elements == 1 else 5)
+
+    @given(st.data())
+    def test_gain_map_json_matches_stdlib_encoder(self, tmp_path_factory, data):
+        extremes = st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, math.nan])
+        points = st.one_of(
+            st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=20),
+            st.lists(st.one_of(extremes, st.floats()), min_size=1, max_size=20),
+        )
+        axes = tuple(
+            Axis(name, "unit", np.array(data.draw(points, label=f"{name} points")))
+            for name in ("x", "y")[: data.draw(st.integers(1, 2), label="axes")]
+        )
+        shape = tuple(ax.points.size for ax in axes)
+        values = data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))), label="values")
+        leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+        keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+        nested = st.recursive(leaves, lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(keys, inner, max_size=3)), max_leaves=8)
+        meta = {"fixed": (1, [2, [3.5, []]], {}, [], (), True, False, None, "λ = c / f ☃"),
+                **data.draw(st.dictionaries(st.text(), nested, max_size=3), label="meta")}
+        gm = GainMap(axes, values)
+        out = tmp_path_factory.getbasetemp() / "stdlib.json"
+        write_gain_map(out, gm, "json", meta)
+        payload = {
+            "axes": [{"name": ax.name, "unit": ax.unit, "points": ax.points} for ax in axes],
+            "values": gm.values,
+            "meta": meta | {"normalized": True},
+        }
+        expected = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
+        assert out.read_bytes() == expected.encode()

@@ -13,6 +13,10 @@ the same artifacts exactly when their outputs ``diff`` clean:
     PYTHONPATH=<other checkout>/src python tools/artifact_digests.py > old.txt
     diff old.txt new.txt
 
+Without ``irsbeam`` on the path it exits 2, naming ``PYTHONPATH=<checkout>/src``;
+it does not add a ``src`` directory itself, so ``PYTHONPATH`` alone picks the
+version that runs.
+
 ``--keep DIR`` also copies the artifacts into DIR. ``--compare OLD NEW`` reads
 two such directories and prints, for each artifact in both, the largest
 absolute difference between their numbers (``same`` when the bytes match),
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -135,6 +140,11 @@ def main(argv=None) -> int:
     if args.compare:
         lines = compare_lines(*args.compare)
     else:
+        if importlib.util.find_spec("irsbeam") is None:
+            src = Path(__file__).resolve().parents[1] / "src"
+            print(f"artifact_digests: cannot import irsbeam; run with PYTHONPATH=<checkout>/src"
+                  f" (this checkout: PYTHONPATH={src})", file=sys.stderr)
+            return 2
         if args.keep is not None:
             args.keep.mkdir(parents=True, exist_ok=True)
         lines = digest_lines(args.keep)
