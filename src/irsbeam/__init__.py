@@ -18,7 +18,6 @@ from .model import (
     Axis,
     DelayProfile,
     Design,
-    FarFieldTarget,
     GainMap,
     IrsArray,
     NearFieldGeometry,
@@ -50,7 +49,6 @@ __all__ = [
     "Axis",
     "DelayProfile",
     "Design",
-    "FarFieldTarget",
     "GainMap",
     "IrsArray",
     "NearFieldGeometry",

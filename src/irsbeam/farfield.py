@@ -1,13 +1,14 @@
 """Far-field beam gain, optimal phases, the squint-direction law, and the
 delay-adjustable-metasurface (DAM) co-design that restores full gain band-wide.
 
-Directions are the normalized quantity nu = sin(chi) - sin(psi). The gain uses
+Directions are the normalized quantity nu = sin(chi) - sin(psi), as floats. The gain uses
 the package's one phase convention (see :mod:`irsbeam.model`) with the path
 phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
 the ROADMAP item on honouring ``d`` lands. Angle sweeps evaluate their uniform
 grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`).
-Both designs apply the design rules of :mod:`irsbeam.model` to the turns (r-1) nu0 / 2.
+Both designs apply the design rules of :mod:`irsbeam.model` to the turns (r-1) nu0 / 2
+and reject a design direction nu0 that is NaN or outside [-2, 2].
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .model import (
     TWO_PI,
     DelayProfile,
     Design,
-    FarFieldTarget,
     IrsArray,
     PhaseProfile,
     WidebandConfig,
@@ -105,7 +105,8 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
 
 def _design_turns(array: IrsArray, direction: float) -> np.ndarray:
     """Path turns (r-1) nu0 / 2 at nu0, in np.longdouble; raises on nu0 outside [-2, 2]."""
-    FarFieldTarget(direction)
+    if not abs(direction) <= 2.0:  # also true on NaN
+        raise ValueError(f"direction must lie in [-2, 2], got {direction}")
     return np.arange(array.n_elements, dtype=np.longdouble) * direction / 2
 
 

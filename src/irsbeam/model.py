@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * angles are radians, the normalized direction ``nu = sin(chi) - sin(psi)``
   is dimensionless, frequencies are Hz, distances are meters, delays are
   seconds -- no implicit unit conversion anywhere;
+* a far-field link is its direction nu, a plain float: a scenario's angles
+  chi and psi enter the gain only through nu, and become nu once, at load;
 * the ULA lies along the +x axis and all geometry is 2-D;
 * every type is immutable after construction and every operation is a pure
   function, so concurrent use needs no synchronization.
@@ -142,38 +144,6 @@ class IrsArray:
     def half_wavelength(cls, cfg: WidebandConfig, n_elements: int) -> "IrsArray":
         """Default construction: spacing of half the carrier wavelength."""
         return cls(n_elements=n_elements, spacing_m=cfg.wavelength_m / 2.0)
-
-
-@dataclass(frozen=True)
-class FarFieldTarget:
-    """Far-field link direction: AoA chi, AoD psi, and nu = sin(chi) - sin(psi).
-
-    Either representation may be populated; when both are, they must agree to
-    1e-12. ``direction`` (nu) is the quantity every far-field operation
-    consumes.
-    """
-
-    direction: float
-    arrival_rad: float | None = None
-    departure_rad: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.direction) or abs(self.direction) > 2.0:
-            raise ValueError(f"direction must lie in [-2, 2], got {self.direction}")
-        if (self.arrival_rad is None) != (self.departure_rad is None):
-            raise ValueError("arrival_rad and departure_rad must be given together")
-        if self.arrival_rad is not None:
-            nu = np.sin(self.arrival_rad) - np.sin(self.departure_rad)
-            if abs(nu - self.direction) > 1e-12:
-                raise ValueError(
-                    f"direction {self.direction} inconsistent with angles "
-                    f"(sin(chi) - sin(psi) = {nu})"
-                )
-
-    @classmethod
-    def from_angles(cls, arrival_rad: float, departure_rad: float) -> "FarFieldTarget":
-        nu = float(np.sin(arrival_rad) - np.sin(departure_rad))
-        return cls(direction=nu, arrival_rad=arrival_rad, departure_rad=departure_rad)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .model import (
-    FarFieldTarget,
     IrsArray,
     NearFieldGeometry,
     WidebandConfig,
@@ -83,14 +84,14 @@ class SweepSpec:
 class Scenario:
     """A fully validated simulation setup loaded from JSON.
 
-    ``link`` is what the loader checked ``array`` against: the far-field
-    target, or the near-field geometry built on ``array``. Its type fixes
-    the regime.
+    ``link`` is the checked far-field direction nu, a float in [-2, 2] given by
+    the file's 'nu0' or its 'chi'/'psi' angles, or the near-field geometry
+    built on ``array``. Its type fixes the regime.
     """
 
     config: WidebandConfig
     array: IrsArray
-    link: FarFieldTarget | NearFieldGeometry
+    link: float | NearFieldGeometry
     design: str = "phases_only"
     sweep: SweepSpec = SweepSpec()
     threshold: float = DEFAULT_THRESHOLD
@@ -121,7 +122,7 @@ class Scenario:
         """The far-field design direction nu0 (possibly derived from angles)."""
         if self.regime != "far":
             raise ScenarioError("direction is only defined for far-field scenarios")
-        return self.link.direction
+        return self.link
 
     def to_dict(self) -> dict:
         """The scenario as a JSON-ready document that loads back to an equal Scenario."""
@@ -140,10 +141,7 @@ class Scenario:
         link = self.link
         if self.regime == "far":
             out["sweep"]["subcarriers"] = list(self.sweep.subcarriers)
-            out["nu0"] = link.direction
-            if link.arrival_rad is not None:
-                out["chi"] = link.arrival_rad
-                out["psi"] = link.departure_rad
+            out["nu0"] = link
         else:
             out |= {"bs": list(link.bs_xy), "user": list(link.user_xy),
                     "irs_origin": list(link.irs_origin_xy)}
@@ -190,18 +188,20 @@ def _named(raw: dict, keys) -> str:
     return ", ".join(f"'{k}'" for k in keys if k in raw)
 
 
-def _far_target(raw: dict) -> FarFieldTarget:
-    """The direction of the 'nu0' field, the 'chi'/'psi' angles, or both."""
+def _far_target(raw: dict) -> float:
+    """The direction nu of the 'nu0' field, the 'chi'/'psi' angles, or both."""
     if ("chi" in raw) != ("psi" in raw):
         raise ScenarioError("fields 'chi' and 'psi' must be given together")
     angles = (_require_number(raw, "chi"), _require_number(raw, "psi")) if "chi" in raw else ()
-    nu0 = _require_number(raw, "nu0") if "nu0" in raw else None
-    try:
-        if nu0 is None:
-            return FarFieldTarget.from_angles(*angles)
-        return FarFieldTarget(nu0, *angles)
-    except ValueError as exc:
-        raise ScenarioError(f"far-field target from {_named(raw, _FAR_KEYS)}: {exc}") from exc
+    nu = float(np.sin(angles[0]) - np.sin(angles[1])) if angles else None
+    direction = _require_number(raw, "nu0") if "nu0" in raw else nu
+    where = f"far-field target from {_named(raw, _FAR_KEYS)}"
+    if not abs(direction) <= 2.0:
+        raise ScenarioError(f"{where}: direction must lie in [-2, 2], got {direction}")
+    if nu is not None and abs(nu - direction) > 1e-12:
+        raise ScenarioError(f"{where}: direction {direction} inconsistent with angles "
+                            f"(sin(chi) - sin(psi) = {nu})")
+    return direction
 
 
 def _near_geometry(raw: dict, array: IrsArray) -> NearFieldGeometry:
@@ -292,8 +292,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
-    spacing = _require_number(raw, "d", positive=True) if "d" in raw else config.wavelength_m / 2.0
-    array = IrsArray(n_elements=_require_count(raw, "R"), spacing_m=spacing)
+    n_elements = _require_count(raw, "R")
+    array = (IrsArray(n_elements, _require_number(raw, "d", positive=True)) if "d" in raw
+             else IrsArray.half_wavelength(config, n_elements))
 
     far_keys, near_keys = _named(raw, _FAR_KEYS), _named(raw, _NEAR_KEYS)
     if far_keys and near_keys:
@@ -310,7 +311,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             f"field 'regime' says {raw['regime']!r} but the geometry fields imply {regime!r}"
         )
     link = _far_target(raw) if regime == "far" else _near_geometry(raw, array)
-    aperture = (array.n_elements - 1) * spacing  # 0 for one element, which has no boundary
+    aperture = (n_elements - 1) * array.spacing_m  # 0 for one element, which has no boundary
     if aperture > 0 and not (math.isfinite(aperture)
                              and math.isfinite(fraunhofer_distance(aperture, config))):
         raise ScenarioError(f"field 'd': the aperture (R - 1) d = {aperture} m has no finite "

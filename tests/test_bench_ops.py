@@ -1,6 +1,7 @@
 """The benchmark's calls into the library still work: every op of the
 ``presets`` and ``squint-fan`` workloads runs once and passes its check, and
-the ``presets`` ops reach every public function the bench tracer times."""
+the ``presets`` ops reach every public function the bench tracer times. The
+``presets`` ops run and are checked once, under the tracer."""
 
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["presets", "squint-fan"])
+@pytest.mark.parametrize("name", ["squint-fan"])
 def test_every_op_runs_and_passes_its_check(tmp_path, name):
     wl = workloads.build(ib, name, 1, ROOT, tmp_path)
     assert wl.ops

@@ -43,6 +43,23 @@ class TestOptimalPhases:
                     assert g <= peak + 1e-9
 
 
+    @pytest.mark.parametrize("nu0", [2.5, -2.5, np.nan, np.inf, -np.inf])
+    def test_designs_reject_direction_outside_range(self, array64, cfg200, nu0):
+        with pytest.raises(ValueError, match=r"direction must lie in \[-2, 2\]"):
+            far_optimal_phases(array64, nu0)
+        with pytest.raises(ValueError, match=r"direction must lie in \[-2, 2\]"):
+            far_dam_design(array64, cfg200, nu0)
+
+    @pytest.mark.parametrize("nu0", [2.0, -2.0])
+    def test_designs_accept_range_ends(self, array64, cfg200, nu0):
+        dam = far_dam_design(array64, cfg200, nu0)
+        for phases, delays in ((far_optimal_phases(array64, nu0), None), (dam.phases, dam.delays)):
+            gain = far_beam_gain_profile(
+                array64, cfg200, [cfg200.carrier_hz], [nu0], phases, delays
+            )
+            np.testing.assert_allclose(gain, 64.0, rtol=1e-12)
+
+
 class TestBeamGain:
     def test_peak_equals_element_count(self, cfg200):
         for n in (1, 10, 64):

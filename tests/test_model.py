@@ -9,7 +9,6 @@ from irsbeam import (
     Axis,
     DelayProfile,
     Design,
-    FarFieldTarget,
     GainMap,
     IrsArray,
     NearFieldGeometry,
@@ -201,18 +200,6 @@ class TestProfilesAndTypes:
     def test_delay_profile_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             DelayProfile(np.array([1e-12, -1e-12]))
-
-    def test_far_field_target_from_angles(self):
-        t = FarFieldTarget.from_angles(np.pi / 3, -np.pi / 4)
-        np.testing.assert_allclose(
-            t.direction, np.sin(np.pi / 3) + np.sin(np.pi / 4), rtol=1e-15
-        )
-
-    def test_far_field_target_consistency_enforced(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            FarFieldTarget(direction=0.4, arrival_rad=np.pi / 3, departure_rad=-np.pi / 4)
-        with pytest.raises(ValueError):
-            FarFieldTarget(direction=2.5)
 
     def test_geometry_rejects_coincident_endpoint(self, cfg200):
         with pytest.raises(ValueError, match="coincides"):

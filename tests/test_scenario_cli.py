@@ -141,6 +141,16 @@ class TestScenarioLoading:
         )
         np.testing.assert_allclose(s.direction(), 0.5, rtol=1e-15)
 
+    def test_angles_give_direction_bit_for_bit(self):
+        # 'chi'/'psi' become nu once, at load, as sin(chi) - sin(psi) in float64
+        rng = np.random.default_rng(16)
+        for chi, psi in rng.uniform(-np.pi, np.pi, size=(200, 2)).tolist():
+            s = scenario_from_dict({"f_c": 200e9, "B": 6e9, "R": 64, "chi": chi, "psi": psi})
+            assert s.direction().hex() == float(np.sin(chi) - np.sin(psi)).hex()
+            doc = s.to_dict()
+            assert doc["nu0"] == s.direction() and "chi" not in doc and "psi" not in doc
+            assert scenario_from_dict(json.loads(json.dumps(doc))) == s
+
     def test_angle_direction_consistency_enforced(self):
         with pytest.raises(ScenarioError, match="inconsistent"):
             scenario_from_dict(
@@ -635,6 +645,35 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "PYTHONPATH=<checkout>/src" in proc.stderr
+
+    def test_artifact_digests_compare_without_a_directory_exits_2(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        for old, new in (("old", "absent"), ("absent", "old")):
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / "tools" / "artifact_digests.py"), "--compare",
+                 str(tmp_path / old), str(tmp_path / new)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.count("\n") == 1 and "absent is not a directory" in proc.stderr
+
+    def test_artifact_digests_compare_reports_added_and_missing(self, tmp_path):
+        old, new = tmp_path / "old", tmp_path / "new"
+        for directory, names in ((old, ["fig3__design.csv", "fig3__metrics.csv"]),
+                                 (new, ["fig3__design.csv", "fig4__design.csv"])):
+            directory.mkdir()
+            for name in names:
+                (directory / name).write_text("phase_rad\n0.5\n")
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "artifact_digests.py"), "--compare",
+             str(old), str(new)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "fig3/design.csv same", "fig3/metrics.csv missing", "fig4/design.csv added",
+        ]
 
 
 PRESET_SUBCOMMANDS = {

@@ -20,7 +20,9 @@ version that runs.
 ``--keep DIR`` also copies the artifacts into DIR. ``--compare OLD NEW`` reads
 two such directories and prints, for each artifact in both, the largest
 absolute difference between their numbers (``same`` when the bytes match),
-which bounds how far a version moved the artifacts that are not identical.
+which bounds how far a version moved the artifacts that are not identical;
+an artifact in only one of them is ``missing`` (from NEW) or ``added`` (to NEW).
+If OLD or NEW is not a directory it exits 2 with one line on stderr.
 Design phases (the CSV ``phase_rad`` column, the JSON ``phases`` list) are
 compared as angles: their difference is reduced into [-pi, pi] first, so a
 phase that moved from just below 2 pi to 0 counts by how far it turned.
@@ -112,11 +114,13 @@ def digest_lines(keep: Path | None) -> list[str]:
 
 def compare_lines(old: Path, new: Path) -> list[str]:
     lines = []
-    for a in sorted(old.iterdir()):
-        b = new / a.name
-        key = a.name.replace("__", "/")
+    for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
+        a, b = old / name, new / name
+        key = name.replace("__", "/")
         if not b.exists():
             lines.append(f"{key} missing")
+        elif not a.exists():
+            lines.append(f"{key} added")
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"{key} same")
         else:
@@ -138,6 +142,11 @@ def main(argv=None) -> int:
                         help="compare two --keep directories instead of running the presets")
     args = parser.parse_args(argv)
     if args.compare:
+        for directory in args.compare:
+            if not directory.is_dir():
+                print(f"artifact_digests: --compare: {directory} is not a directory",
+                      file=sys.stderr)
+                return 2
         lines = compare_lines(*args.compare)
     else:
         if importlib.util.find_spec("irsbeam") is None:
