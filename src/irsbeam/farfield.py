@@ -61,45 +61,68 @@ def far_beam_gain_profile(
     )
 
 
-def _chirp(rate: float, k2: np.ndarray) -> np.ndarray:
+def _chirp(rate, k2: np.ndarray) -> np.ndarray:
     """exp(j pi rate k2) for |rate| < 2 and integers k2 < 2**29: the float32 part of
-    rate times k2 is exact and reduced mod 2 exactly, so rounding does not grow with k2."""
-    hi = float(np.float32(rate))
-    p = hi * k2
-    return np.exp(1j * np.pi * (p - 2.0 * np.round(p / 2.0) + (rate - hi) * k2))
+    rate times k2 is exact and reduced mod 2 exactly, so rounding does not grow with k2.
+    ``k2`` is symmetric (k2[i] == k2[-1 - i]), so only its first half is evaluated;
+    ``rate`` is a scalar or an (F, 1) column, giving one chirp per row."""
+    hi = np.float64(np.float32(rate))
+    half = k2[: (k2.size + 1) // 2]
+    p = hi * half
+    head = np.exp(1j * np.pi * (p - 2.0 * np.round(p / 2.0) + (rate - hi) * half))
+    return np.concatenate((head, head[..., : k2.size // 2][..., ::-1]), axis=-1)
+
+
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n >= 1."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarray:
     """:func:`far_beam_gain_profile` at the directions start + step * arange(n) of
-    ``grid = (start, step, n)``, by one chirp-z transform per frequency.
+    ``grid = (start, step, n)``, by chirp-z transforms batched over frequencies.
 
     With q and m counted from the array centre and from the centre nu_c of a block
     of B outputs, gain = |sum_q w_q exp(-j s nu_c q) exp(-j theta m q)|, theta = s step.
     Bluestein's m q = (m^2 + q^2 - (m - q)^2) / 2 makes it an FFT convolution with
     exp(j theta k^2 / 2), k = m - q; the factor in m alone drops out of |.|. Equal
-    blocks keep B + R - 1 within max(KERNEL_CHUNK, 2 R), which bounds the FFT length
-    (a power of 2) and |k| < (B + R) / 2.
+    blocks keep B + R - 1 within max(KERNEL_CHUNK, 2 R), which bounds |k| < (B + R) / 2
+    and the FFT length, the least 2^a 3^b 5^c >= B + R - 1: any length from there up
+    gives the same linear convolution on the output slice. Each FFT is one 2-D call
+    over a block of frequencies that holds at most KERNEL_CHUNK / 2 complex values
+    per array, or one frequency.
     """
     start, step, n = grid
     n_elements = array.n_elements
     freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, np.pi, phases, delays)
     blocks = -(-n // (max(KERNEL_CHUNK, 2 * n_elements) - n_elements + 1))
     size = -(-n // blocks)
-    fft_len = 1 << (size + n_elements - 2).bit_length()
+    fft_len = _fft_length(size + n_elements - 1)
+    n_freqs = max(1, KERNEL_CHUNK // 2 // fft_len)
     q = np.arange(n_elements) - (n_elements - 1) / 2
     k2 = np.arange(2.0 - size - n_elements, size + n_elements - 1, 2.0) ** 2  # (2k)^2
+    # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
+    # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
+    rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)[:, None]
     out = np.empty((freqs.size, n))
-    for i, s in enumerate(scale):
-        # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
-        # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
-        rate = np.fmod(s * step / (4 * TWO_PI), 2.0)
-        chirp = np.fft.fft(_chirp(rate, k2), fft_len)
-        weights = _element_weights(freqs[i : i + 1], phases, delays)[0] * _chirp(-rate, 4 * q * q)
+    for f0 in range(0, freqs.size, n_freqs):
+        f = slice(f0, f0 + n_freqs)
+        chirp = np.fft.fft(_chirp(rates[f], k2), fft_len)
+        weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates[f], 4 * q * q)
         for lo in range(0, n, size):
             centre = start + step * (lo + (size - 1) / 2)
-            spectrum = np.fft.fft(weights * np.exp(-1j * s * centre * q), fft_len)
-            conv = np.fft.ifft(spectrum * chirp)[n_elements - 1 :]
-            out[i, lo : lo + size] = np.abs(conv[: min(size, n - lo)])
+            spectrum = np.fft.fft(weights * np.exp(-1j * scale[f, None] * centre * q), fft_len)
+            spectrum *= chirp
+            conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]
+            hi = min(lo + size, n)
+            np.abs(conv[:, : hi - lo], out=out[f, lo:hi])
     return out
 
 

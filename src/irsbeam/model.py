@@ -33,14 +33,14 @@ per (frequency, direction) instead of R exps. Their rounding grows with r but
 stays below that of the phases themselves: against the Dirichlet closed form,
 the far gain at R = 1024 over nu in [-2, 2] errs by at most 3.3e-10. Angle
 sweeps skip this kernel: on their uniform nu grid, an arc of the unit circle,
-one chirp-z transform per frequency evaluates the polynomial in
-O((N + R) log(N + R)) instead of O(N R) (see ``farfield._far_grid_gain``). At
-R = 1024 over nu in [-2, 2] at step 1e-4 it errs from the Dirichlet form by at
-most 7.4e-10 (the kernel: 6.2e-10), and its normalized gains differ from the
-kernel's by at most 6.8e-13.
+chirp-z transforms, their FFTs batched over frequencies at 5-smooth lengths,
+evaluate the polynomial in O((N + R) log(N + R)) per frequency instead of
+O(N R) (see ``farfield._far_grid_gain``). At R = 1024 over nu in [-2, 2] at
+step 1e-4 they err from the Dirichlet form by at most 7.4e-10 (the kernel:
+6.2e-10), and their normalized gains differ from the kernel's by at most 6.8e-13.
 
 In the near field the path factor forms the turns t = s d_r of each leg,
-with s = (1 + f/f_c) / lambda_c in turns per meter, and subtracts their
+with s = (1 + f/f_c) f_c / c in turns per meter, and subtracts their
 nearest integers (exact steps), so that the phase 2 pi t lies within [-pi, pi]
 instead of at some 10^4 rad. The BS leg d_r^BR, the same for every target, is
 reduced on its own and added to the target leg's turns, so the summed distance
@@ -53,9 +53,9 @@ sqrt(1 - sin^2), and five complex squarings of cos + j sin, all inside the
 chunk buffer. Its phasors differ from the complex exp's by at most 4.2e-15, and
 normalized fig6 and fig8 heatmap gains by at most 8e-16. Against a long-double
 oracle from raw coordinates, the fig6 and fig8 heatmap grids (R = 64, lowest
-subcarrier) err by at most 7.0e-13 R and 7.3e-13 R. Over that grid and 3,000
+subcarrier) err by at most 7.2e-13 R and 7.3e-13 R. Over that grid and 3,000
 points around the user, at the band edges and the carrier, both designs err by
-at most 1.5e-12 R, 8.7e-13 R and 4.1e-13 R at R = 16, 64 and 256: the rounding
+at most 1.5e-12 R, 8.7e-13 R and 4.5e-13 R at R = 16, 64 and 256: the rounding
 of the phases, not of their phasors, sets these errors.
 
 One design rule per remedy serves both regimes, in the path turns
@@ -344,13 +344,18 @@ def subcarrier_frequency(cfg: WidebandConfig, index: int) -> float:
     Index 0 selects the exact carrier f_c, which for even M is not itself a
     grid point; sweeps use it for their center row.
     """
-    if index == 0:
+    if _checked_subcarrier(cfg, index) == 0:
         return cfg.carrier_hz
-    if not 1 <= index <= cfg.n_subcarriers:
+    return float(subcarrier_frequencies(cfg)[index - 1])
+
+
+def _checked_subcarrier(cfg: WidebandConfig, index: int) -> int:
+    """``index``; raises unless it is 0 (carrier) or 1..M."""
+    if not 0 <= index <= cfg.n_subcarriers:
         raise ValueError(
             f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, got {index}"
         )
-    return float(subcarrier_frequencies(cfg)[index - 1])
+    return index
 
 
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
@@ -415,7 +420,7 @@ def _array_gain(
     s = wavenumber (1 + f/f_c) of the block into ``out``, shape
     (len(s), hi - lo, R): the powers of z = exp(-j s nu) in the far field
     (wavenumber pi), exp(-j 2 pi s d) of the exact distances d in the near field
-    (wavenumber 1/lambda_c, in turns per meter). Each chunk contracts
+    (wavenumber f_c / c, in turns per meter). Each chunk contracts
     E with w in one matmul and holds about KERNEL_CHUNK element evaluations:
     a block of targets, and for short blocks several frequencies. All chunks
     share one ``out`` buffer: a fresh one per chunk is often handed back to the

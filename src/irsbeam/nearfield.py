@@ -111,7 +111,7 @@ def near_gain_row(
 
     gains = _array_gain(
         cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
-        1.0 / cfg.wavelength_m, phases, delays,
+        cfg.carrier_hz / SPEED_OF_LIGHT, phases, delays,
     )
     return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from irsbeam import (
     far_squint_direction,
     subcarrier_frequencies,
 )
+from irsbeam.farfield import _chirp, _far_grid_gain, _fft_length
 from irsbeam.model import KERNEL_CHUNK
 from conftest import longdouble_only
 from oracles import dirichlet_gain, far_design_phases_exact
@@ -249,6 +252,82 @@ class TestDamDesign:
         assert all(a >= b for a, b in zip(over_b, over_b[1:]))
         over_r = [min_gain(n, 6e9) for n in (10, 32, 64, 128)]
         assert all(a >= b for a, b in zip(over_r, over_r[1:]))
+
+
+class TestChirpZ:
+    def test_fft_length_is_least_five_smooth_bound(self):
+        top = 40_000  # above 20,000's least 5-smooth bound, 20,250
+        smooth = np.zeros(top + 1, bool)
+        for m in range(1, top + 1):
+            k = m
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            smooth[m] = k == 1
+        least = np.flatnonzero(smooth)
+        want = least[np.searchsorted(least, np.arange(1, 20_001))]
+        assert [_fft_length(n) for n in range(1, 20_001)] == want.tolist()
+
+    def test_mirrored_chirp_is_bit_identical_to_full_evaluation(self):
+        def full(rate, k2):
+            hi = np.float64(np.float32(rate))
+            p = hi * k2
+            return np.exp(1j * np.pi * (p - 2.0 * np.round(p / 2.0) + (rate - hi) * k2))
+
+        rng = np.random.default_rng(3)
+        rates = [0.0, 1.9999, -1.9999, *rng.uniform(-2, 2, 6)]
+        for length in (1, 2, 3, 64, 65, 2064, 15309):
+            k2 = np.arange(1.0 - length, length, 2.0) ** 2  # the (2k)^2 of the sweeps
+            q = np.arange(length) - (length - 1) / 2
+            for squares in (k2, 4 * q * q):
+                for rate in rates:
+                    assert _chirp(rate, squares).tobytes() == full(rate, squares).tobytes()
+                column = np.array(rates)[:, None]
+                assert _chirp(column, squares).tobytes() == full(column, squares).tobytes()
+
+    def test_dam_sweep_matches_dirichlet_oracle_over_blocks(self):
+        # every subcarrier of a DAM design; the residual exponent is
+        # pi (r-1) (1 + f/f_c) (nu0 - nu), as in the multi-chunk test above.
+        # R = 64 over 2001 points: one grid block of FFT length 2160 (not 4096),
+        # 3 frequencies per block, so 16 rows make 6 blocks, the last of one row;
+        # over 20,001 points: two grid blocks of length 10,125 (not 16,384)
+        assert _fft_length(2001 + 63) == 2160 and KERNEL_CHUNK // 2 // 2160 == 3
+        assert 20001 > KERNEL_CHUNK - 63 and _fft_length(10001 + 63) == 10125
+        for n_subcarriers, grid in ((16, (-1.0, 1.0, 1e-3)), (3, (-2.0, 2.0, 2e-4))):
+            cfg = WidebandConfig(200e9, 30e9, n_subcarriers)
+            array = IrsArray.half_wavelength(cfg, 64)
+            dam = far_dam_design(array, cfg, 0.3)
+            rows = range(1, n_subcarriers + 1)
+            gm = angle_sweep(array, cfg, dam.phases, dam.delays, rows, grid)
+            nu = gm.axes[1].points
+            for f, row in zip(subcarrier_frequencies(cfg), 64 * gm.values):
+                scale = 1 + f / cfg.carrier_hz
+                np.testing.assert_allclose(
+                    row, dirichlet_gain(64, scale * (0.3 - nu)), rtol=1e-9, atol=1e-9
+                )
+
+    def test_in_cache_sweep_holds_one_frequency_block_of_ffts(self):
+        """The bench's in-cache shape, 16 DAM subcarriers over 2001 directions at
+        R = 64, runs its FFTs on blocks of 3 frequencies at length 2160, so each
+        FFT array holds at most KERNEL_CHUNK / 2 complex values. Above its start and
+        its output the call holds at most five such arrays at once: the previous
+        block's chirp spectra and spectra, still bound while the next block's chirps
+        are formed, those chirps, numpy's zero-padded copy of them, and their
+        spectra. All 16 frequencies in one block would need 16 / 3 times that."""
+        cfg = WidebandConfig(200e9, 30e9, 16)
+        array = IrsArray.half_wavelength(cfg, 64)
+        dam = far_dam_design(array, cfg, 0.3)
+        args = (array, cfg, subcarrier_frequencies(cfg), (-1.0, 1e-3, 2001), dam.phases, dam.delays)
+        _far_grid_gain(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = _far_grid_gain(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 5 * (KERNEL_CHUNK // 2) * np.dtype(np.complex128).itemsize
 
 
 @longdouble_only

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,6 +116,13 @@ class TestAngleSweep:
         kernel = far_beam_gain_profile(array, cfg, freqs, grid_points(*nu_grid), phases, delays)
         np.testing.assert_allclose(gm.values, kernel / n_elements, rtol=0, atol=1e-9 / n_elements)
         assert (gm.values <= 1.0 + NORMALIZED_GAIN_SLACK).all()
+
+    @pytest.mark.parametrize("bad", [-2, 129])
+    def test_bad_row_raises_the_selector_error(self, array64, cfg200, bad):
+        with pytest.raises(ValueError) as want:
+            subcarrier_frequency(cfg200, bad)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            angle_sweep(array64, cfg200, far_optimal_phases(array64, 0.5), subcarriers=(1, bad))
 
     def test_empty_subcarrier_list_rejected(self, array64, cfg200):
         with pytest.raises(ValueError, match="at least one"):
