@@ -120,9 +120,12 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
             centre = start + step * (lo + (size - 1) / 2)
             spectrum = np.fft.fft(weights * np.exp(-1j * scale[f, None] * centre * q), fft_len)
             spectrum *= chirp
-            conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]
+            conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
             hi = min(lo + size, n)
-            np.abs(conv[:, : hi - lo], out=out[f, lo:hi])
+            for i in range(len(conv)):  # row by row: |.| of the 2-D slice buffers a copy
+                np.abs(conv[i, : hi - lo], out=out[f0 + i, lo:hi])
+            del spectrum, conv  # free before the next block's FFTs are formed
+        del chirp
     return out
 
 

@@ -344,23 +344,24 @@ def subcarrier_frequency(cfg: WidebandConfig, index: int) -> float:
     Index 0 selects the exact carrier f_c, which for even M is not itself a
     grid point; sweeps use it for their center row.
     """
-    if _checked_subcarrier(cfg, index) == 0:
+    if index == 0:
         return cfg.carrier_hz
-    return float(subcarrier_frequencies(cfg)[index - 1])
-
-
-def _checked_subcarrier(cfg: WidebandConfig, index: int) -> int:
-    """``index``; raises unless it is 0 (carrier) or 1..M."""
-    if not 0 <= index <= cfg.n_subcarriers:
+    if not 1 <= index <= cfg.n_subcarriers:
         raise ValueError(
             f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, got {index}"
         )
-    return index
+    return float(subcarrier_frequencies(cfg)[index - 1])
 
 
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
-    """Resolve the -1 shorthand for the highest subcarrier M; other indices pass."""
-    return cfg.n_subcarriers if index == -1 else index
+    """Resolve the -1 shorthand for the highest subcarrier M; raises unless
+    the index is then 0 (carrier) or 1..M."""
+    resolved = cfg.n_subcarriers if index == -1 else index
+    if not 0 <= resolved <= cfg.n_subcarriers:
+        raise ValueError(
+            f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, got {index}"
+        )
+    return resolved
 
 
 def fraunhofer_distance(aperture_m: float, cfg: WidebandConfig) -> float:

@@ -21,7 +21,6 @@ from .model import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
-    _checked_subcarrier,
     resolve_subcarrier,
     subcarrier_frequencies,
     subcarrier_frequency,
@@ -72,10 +71,11 @@ def angle_sweep(
     ``subcarriers`` lists 1-based indices (0 = carrier); -1 is shorthand for
     the highest subcarrier. ``nu_grid`` is (start, stop, step).
     """
-    subcarriers = [_checked_subcarrier(cfg, resolve_subcarrier(cfg, s)) for s in subcarriers]
+    subcarriers = [resolve_subcarrier(cfg, s) for s in subcarriers]
     if not subcarriers:
         raise ValueError("at least one subcarrier row is required")
-    freqs = np.concatenate(([cfg.carrier_hz], subcarrier_frequencies(cfg)))[subcarriers]
+    grid_hz = subcarrier_frequencies(cfg)
+    freqs = np.array([grid_hz[s - 1] if s else cfg.carrier_hz for s in subcarriers])
     nu = grid_points(*nu_grid)
     grid = (nu_grid[0], nu_grid[2], nu.size)
     values = _far_grid_gain(array, cfg, freqs, grid, phases, delays) / array.n_elements

@@ -330,13 +330,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"field 'threshold': {exc}") from None
 
     sweep = _parse_sweep(raw.get("sweep", {}), regime)
-    # resolve the -1 shorthand for "highest subcarrier" now that M is known
-    rows = tuple(resolve_subcarrier(config, s) for s in sweep.subcarriers)
-    sweep = replace(sweep, subcarriers=rows, subcarrier=resolve_subcarrier(config, sweep.subcarrier))
-    for key, indices in (("subcarriers", sweep.subcarriers), ("subcarrier", [sweep.subcarrier])):
-        for s in indices:
-            if not 0 <= s <= m:
-                raise ScenarioError(f"sweep field '{key}': index {s} outside 0..{m}")
+
+    def resolve(key: str, s: int) -> int:
+        # resolve the -1 shorthand for "highest subcarrier" now that M is known
+        try:
+            return resolve_subcarrier(config, s)
+        except ValueError:
+            raise ScenarioError(f"sweep field '{key}': index {s} outside 0..{m}") from None
+
+    rows = tuple(resolve("subcarriers", s) for s in sweep.subcarriers)
+    sweep = replace(sweep, subcarriers=rows, subcarrier=resolve("subcarrier", sweep.subcarrier))
     _check_sweep_grid(sweep, regime == "far", array.n_elements, m)
 
     return Scenario(config, array, link, design, sweep, float(threshold), out_format)

@@ -308,12 +308,13 @@ class TestChirpZ:
 
     def test_in_cache_sweep_holds_one_frequency_block_of_ffts(self):
         """The bench's in-cache shape, 16 DAM subcarriers over 2001 directions at
-        R = 64, runs its FFTs on blocks of 3 frequencies at length 2160, so each
-        FFT array holds at most KERNEL_CHUNK / 2 complex values. Above its start and
-        its output the call holds at most five such arrays at once: the previous
-        block's chirp spectra and spectra, still bound while the next block's chirps
-        are formed, those chirps, numpy's zero-padded copy of them, and their
-        spectra. All 16 frequencies in one block would need 16 / 3 times that."""
+        R = 64, runs its FFTs on blocks of 3 frequencies at length 2160, 6480 complex
+        values per FFT array, within the cap of KERNEL_CHUNK / 2 = 8192. Above its
+        start and its output the call holds at most two such arrays at once: a
+        block's chirp spectra and its spectra, whose inverse FFT runs in place.
+        The rest of the cap, 2 x 1712 x 16 B = 55 KB, covers the 2064 squares
+        (16.5 KB) and the block's (3, 64) weights; one more FFT array, or all 16
+        frequencies in one block, exceeds it."""
         cfg = WidebandConfig(200e9, 30e9, 16)
         array = IrsArray.half_wavelength(cfg, 64)
         dam = far_dam_design(array, cfg, 0.3)
@@ -327,7 +328,7 @@ class TestChirpZ:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 5 * (KERNEL_CHUNK // 2) * np.dtype(np.complex128).itemsize
+        assert peak - out.nbytes <= 2 * (KERNEL_CHUNK // 2) * np.dtype(np.complex128).itemsize
 
 
 @longdouble_only
