@@ -25,12 +25,11 @@ import sys
 
 import numpy as np
 
-from .farfield import far_design
 from .model import GainMap, fraunhofer_distance
-from .nearfield import near_design
 from .scan import (
     angle_sweep,
     location_heatmap,
+    make_design,
     squint_metrics,
     subcarrier_sweep_far,
     subcarrier_sweep_near,
@@ -131,11 +130,7 @@ def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
-    use_dam = scenario.design == "dam"
-    if scenario.regime == "far":
-        design = far_design(scenario.make_array(), scenario.config, scenario.direction(), use_dam)
-    else:
-        design = near_design(scenario.make_geometry(), scenario.config, use_dam)
+    design = make_design(scenario.array, scenario.config, scenario.link, scenario.design == "dam")
     phases = design.phases.phases
     delays = design.delays.delays if design.delays is not None else np.zeros(phases.size)
     columns = (np.arange(1, phases.size + 1), phases, delays)
@@ -147,11 +142,10 @@ def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
 
 
 def _angle_sweep(scenario: Scenario):
-    array = scenario.make_array()
-    design = far_design(array, scenario.config, scenario.direction(), scenario.design == "dam")
+    design = make_design(scenario.array, scenario.config, scenario.link, scenario.design == "dam")
     sweep = scenario.sweep
     nu_grid = (sweep.nu_start, sweep.nu_stop, sweep.nu_step)
-    gm = angle_sweep(array, scenario.config, design.phases, design.delays,
+    gm = angle_sweep(scenario.array, scenario.config, design.phases, design.delays,
                      subcarriers=sweep.subcarriers, nu_grid=nu_grid)
     return gm, design.summary
 

@@ -157,14 +157,3 @@ def far_dam_design(array: IrsArray, cfg: WidebandConfig, direction: float) -> De
     delay that makes the smallest one 0 (the DAM rule of :mod:`irsbeam.model`)."""
     turns = _design_turns(array, direction)
     return _dam_design(turns, cfg.carrier_hz, {"design_direction": float(direction)})
-
-
-def far_design(
-    array: IrsArray, cfg: WidebandConfig, direction: float, use_dam: bool = False
-) -> Design:
-    """The design that steers the beam toward ``direction``: :func:`far_dam_design`
-    with ``use_dam``, else the phase-only optimum of :func:`far_optimal_phases`
-    with delays None. Either summary holds ``design_direction``."""
-    if use_dam:
-        return far_dam_design(array, cfg, direction)
-    return Design(far_optimal_phases(array, direction), None, {"design_direction": direction})

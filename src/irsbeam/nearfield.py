@@ -138,12 +138,3 @@ def near_dam_design(geom: NearFieldGeometry, cfg: WidebandConfig) -> Design:
     common = float((geom.bs_distances + geom.user_distances).max()) / SPEED_OF_LIGHT
     summary = {"common_delay_s": common, "focus_xy": geom.user_xy}
     return _dam_design(_design_turns(geom, cfg), cfg.carrier_hz, summary)
-
-
-def near_design(geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False) -> Design:
-    """The design that focuses the beam on the user: :func:`near_dam_design` with
-    ``use_dam``, else the phase-only focusing phases of :func:`near_optimal_phases`
-    with delays None. Either summary holds ``focus_xy``."""
-    if use_dam:
-        return near_dam_design(geom, cfg)
-    return Design(near_optimal_phases(geom, cfg), None, {"focus_xy": geom.user_xy})

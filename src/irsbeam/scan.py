@@ -1,5 +1,6 @@
-"""Sweep and metric engine: gain-vs-angle curves, gain-vs-subcarrier curves,
-2-D near-field heatmaps, and scalar squint metrics.
+"""Sweep and metric engine: the one (regime x design) switch :func:`make_design`,
+gain-vs-angle and gain-vs-subcarrier curves, 2-D near-field heatmaps, and scalar
+squint metrics.
 
 All sweeps emit normalized gain (divided by the element count R, so the
 analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Each sweep
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .farfield import _far_grid_gain, far_beam_gain_profile, far_design
+from .farfield import _far_grid_gain, far_beam_gain_profile, far_dam_design, far_optimal_phases
 from .model import (
     Axis,
     DelayProfile,
+    Design,
     GainMap,
     IrsArray,
     NearFieldGeometry,
@@ -25,7 +27,7 @@ from .model import (
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from .nearfield import near_design, near_gain_row
+from .nearfield import near_dam_design, near_gain_row, near_optimal_phases
 
 DEFAULT_NU_GRID = (-1.0, 1.0, 1e-3)
 DEFAULT_HEATMAP_HALF_SPAN_M = 0.5
@@ -56,6 +58,20 @@ def grid_size(start: float, stop: float, step: float) -> int:
 def grid_points(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive uniform grid; the step must be positive and divide the span."""
     return start + step * np.arange(grid_size(start, stop, step))
+
+
+def make_design(
+    array: IrsArray, cfg: WidebandConfig, link: float | NearFieldGeometry, use_dam: bool = False
+) -> Design:
+    """The DAM design for ``link``, a far direction nu0 or a near geometry as in
+    ``Scenario.link``, with ``use_dam``, else the phase-only optimum with delays
+    None. A far summary holds ``design_direction``, a near one ``focus_xy``."""
+    near = isinstance(link, NearFieldGeometry)
+    if use_dam:
+        return near_dam_design(link, cfg) if near else far_dam_design(array, cfg, link)
+    if near:
+        return Design(near_optimal_phases(link, cfg), None, {"focus_xy": link.user_xy})
+    return Design(far_optimal_phases(array, link), None, {"design_direction": link})
 
 
 def angle_sweep(
@@ -96,7 +112,7 @@ def subcarrier_sweep_far(
     ``use_dam`` switches from the phase-only profile to the joint phase/delay
     design, which holds the value at 1 for every subcarrier.
     """
-    design = far_design(array, cfg, design_direction, use_dam)
+    design = make_design(array, cfg, design_direction, use_dam)
     gains = far_beam_gain_profile(
         array, cfg, subcarrier_frequencies(cfg), [design_direction], design.phases, design.delays
     )
@@ -111,7 +127,7 @@ def subcarrier_sweep_near(
     geom: NearFieldGeometry, cfg: WidebandConfig, use_dam: bool = False
 ) -> GainMap:
     """Normalized gain at the user across all M subcarriers (near-field)."""
-    design = near_design(geom, cfg, use_dam)
+    design = make_design(geom.array, cfg, geom, use_dam)
     gains = near_gain_row(
         geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]),
         design.phases, design.delays,
@@ -138,7 +154,7 @@ def location_heatmap(
     :meth:`GainMap.argmax_cell` (ties break row-major to the lowest index).
     ``subcarrier`` is 1-based (0 = carrier, -1 = highest subcarrier).
     """
-    design = near_design(geom, cfg, use_dam)
+    design = make_design(geom.array, cfg, geom, use_dam)
     freq = subcarrier_frequency(cfg, resolve_subcarrier(cfg, subcarrier))
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)

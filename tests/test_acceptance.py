@@ -280,9 +280,9 @@ def test_10_delay_physicality_and_common_delay_invariance():
     base_far = far_beam_gain_profile(
         array, CFG, freqs, np.array([0.5]), far.phases, far.delays
     )[:, 0] / 64.0
-    base_near = np.array(
-        [near_gain_row(geom, CFG, f, [geom.user_xy], near.phases, near.delays)[0] for f in freqs]
-    ) / 64.0
+    base_near = near_gain_row(
+        geom, CFG, freqs, [geom.user_xy], near.phases, near.delays
+    )[:, 0] / 64.0
 
     worst = 0.0
     for delta in rng.uniform(0.0, 2e-8, size=100):
@@ -291,12 +291,9 @@ def test_10_delay_physicality_and_common_delay_invariance():
             array, CFG, freqs, np.array([0.5]), far.phases, shifted_far
         )[:, 0] / 64.0
         shifted_near = DelayProfile(near.delays.delays + delta)
-        got_near = np.array(
-            [
-                near_gain_row(geom, CFG, f, [geom.user_xy], near.phases, shifted_near)[0]
-                for f in freqs
-            ]
-        ) / 64.0
+        got_near = near_gain_row(
+            geom, CFG, freqs, [geom.user_xy], near.phases, shifted_near
+        )[:, 0] / 64.0
         worst = max(
             worst,
             float(abs(got_far - base_far).max()),

@@ -15,12 +15,15 @@ from irsbeam import (
     PhaseProfile,
     WidebandConfig,
     far_beam_gain_profile,
+    far_dam_design,
+    far_optimal_phases,
+    near_dam_design,
     near_gain_row,
+    near_optimal_phases,
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from irsbeam.farfield import far_design
-from irsbeam.nearfield import near_design
+from irsbeam.scan import make_design
 
 
 class TestWidebandConfig:
@@ -226,16 +229,29 @@ class TestProfilesAndTypes:
             design.summary = {}
 
     def test_phase_only_designs_have_no_delays(self, array64, cfg200, geometry64):
-        for use_dam in (False, True):
-            for design in (far_design(array64, cfg200, 0.5, use_dam),
-                           near_design(geometry64, cfg200, use_dam)):
-                assert isinstance(design, Design)
-                if use_dam:
-                    assert isinstance(design.delays, DelayProfile)
-                else:
-                    assert design.delays is None
-                with pytest.raises(TypeError):
-                    design.summary["extra"] = 1
+        # make_design is the one switch over the four public designs: for both
+        # kinds of link it returns each of them, byte for byte, with its summary
+        far_dam = far_dam_design(array64, cfg200, 0.5)
+        near_dam = near_dam_design(geometry64, cfg200)
+        public = {
+            (0.5, False): (far_optimal_phases(array64, 0.5), None, {"design_direction": 0.5}),
+            (0.5, True): (far_dam.phases, far_dam.delays, far_dam.summary),
+            (geometry64, False): (near_optimal_phases(geometry64, cfg200), None,
+                                  {"focus_xy": geometry64.user_xy}),
+            (geometry64, True): (near_dam.phases, near_dam.delays, near_dam.summary),
+        }
+        for (link, use_dam), (phases, delays, summary) in public.items():
+            design = make_design(array64, cfg200, link, use_dam)
+            assert isinstance(design, Design)
+            assert design.phases.phases.tobytes() == phases.phases.tobytes()
+            if use_dam:
+                assert isinstance(design.delays, DelayProfile)
+                assert design.delays.delays.tobytes() == delays.delays.tobytes()
+            else:
+                assert design.delays is None
+            assert design.summary == summary
+            with pytest.raises(TypeError):
+                design.summary["extra"] = 1
 
 
 class TestGainMap:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from irsbeam import (
     Axis,
+    DelayProfile,
     GainMap,
     IrsArray,
     WidebandConfig,
@@ -17,6 +18,8 @@ from irsbeam import (
     far_squint_direction,
     grid_points,
     location_heatmap,
+    near_gain_row,
+    scenario_from_dict,
     squint_metrics,
     subcarrier_frequencies,
     subcarrier_frequency,
@@ -24,7 +27,7 @@ from irsbeam import (
     subcarrier_sweep_near,
 )
 from irsbeam.model import NORMALIZED_GAIN_SLACK, resolve_subcarrier
-from irsbeam.scan import grid_size
+from irsbeam.scan import grid_size, make_design
 from conftest import make_geometry
 
 
@@ -262,3 +265,63 @@ class TestDamDominance:
         plain = subcarrier_sweep_near(geometry64, cfg200, use_dam=False)
         dam = subcarrier_sweep_near(geometry64, cfg200, use_dam=True)
         assert np.all(dam.values >= plain.values - 1e-12)
+
+
+class TestMakeDesignProperties:
+    @given(st.data())
+    def test_sweep_gains_dam_identity_and_common_delay(self, data):
+        """Over random valid scenarios of both regimes and both designs, the design
+        of make_design is the one the subcarrier sweep evaluates; no sweep gain
+        exceeds 1, a DAM design gives 1 on every subcarrier, and a common delay
+        changes no gain at the design point. The layouts stay inside the ranges the
+        DAM tests already cover. Far: those of test_chirp_z_sweep_matches_kernel,
+        f_c in [10 GHz, 1 THz], B / f_c in [1e-3, 1.9], M <= 256, R <= 1024 and
+        nu0 in [-2, 2]. Near: the 200 GHz, 6 GHz, M = 128 band and the random
+        layouts of the near DAM oracle tests (test_nearfield._random_layouts), BS
+        in [-3, 3]^2, user in [-3, 3] x [-5, 1], IRS origin in [-1, 1] x [1, 3],
+        with R <= 256 and the BS and user below y = 1/2, clear of every element.
+        A common delay, up to test 10's 2e-8 s, moves every aligned term at the
+        design point by the same phase, so the gains move only by rounding."""
+
+        def point(x_range, y_range, label):
+            return [data.draw(st.floats(*x_range), label=f"{label} x"),
+                    data.draw(st.floats(*y_range), label=f"{label} y")]
+
+        if data.draw(st.booleans(), label="near"):
+            raw = {"f_c": 200e9, "B": 6e9, "M": 128,
+                   "R": data.draw(st.integers(1, 256), label="R"),
+                   "bs": point((-3.0, 3.0), (-3.0, 0.5), "bs"),
+                   "user": point((-3.0, 3.0), (-5.0, 0.5), "user"),
+                   "irs_origin": point((-1.0, 1.0), (1.0, 3.0), "irs_origin")}
+        else:
+            f_c = data.draw(st.floats(10e9, 1e12), label="f_c")
+            raw = {"f_c": f_c, "B": f_c * data.draw(st.floats(1e-3, 1.9), label="B / f_c"),
+                   "M": data.draw(st.integers(1, 256), label="M"),
+                   "R": data.draw(st.integers(1, 1024), label="R"),
+                   "nu0": data.draw(st.floats(-2.0, 2.0), label="nu0")}
+        raw["design"] = data.draw(st.sampled_from(["phases_only", "dam"]), label="design")
+        s = scenario_from_dict(raw)
+        use_dam = s.design == "dam"
+        design = make_design(s.array, s.config, s.link, use_dam)
+        freqs = subcarrier_frequencies(s.config)
+        if s.regime == "far":
+            sweep = subcarrier_sweep_far(s.array, s.config, s.link, use_dam)
+
+            def at_design_point(delays):
+                gains = far_beam_gain_profile(s.array, s.config, freqs, [s.link], design.phases,
+                                              delays)
+                return gains[:, 0] / s.n_elements
+        else:
+            sweep = subcarrier_sweep_near(s.link, s.config, use_dam)
+
+            def at_design_point(delays):
+                gains = near_gain_row(s.link, s.config, freqs, [s.user_xy], design.phases, delays)
+                return gains[:, 0] / s.n_elements
+
+        np.testing.assert_array_equal(sweep.values, at_design_point(design.delays))
+        assert (sweep.values <= 1.0 + NORMALIZED_GAIN_SLACK).all()
+        if use_dam:
+            assert np.abs(sweep.values - 1.0).max() <= 1e-9
+            delta = data.draw(st.floats(0.0, 2e-8), label="common delay")
+            shifted = at_design_point(DelayProfile(design.delays.delays + delta))
+            assert np.abs(shifted - sweep.values).max() <= 1e-12
