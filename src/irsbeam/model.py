@@ -189,21 +189,46 @@ class NearFieldGeometry:
         as coincident.
         """
         points = np.asarray(points_xy, dtype=np.float64)
+        flat = points.reshape(-1, 2)
+        d = self._cell_distances(flat[:, 0], None, flat[:, 1])
+        return d.reshape(points.shape[:-1] + (-1,))
+
+    def _cell_distances(self, row_x, row_cells, cell_y) -> np.ndarray:
+        """Distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to each
+        cell, shape (cells, R). Row k holds ``row_cells[k]`` consecutive cells at
+        x = ``row_x[k]`` (one cell each if None), and cell c lies at y = ``cell_y[c]``.
+
+        The squared x offsets are formed once per row, and the range checks run
+        on them and on the cells' (y - y_0)^2, not on the distances. The largest
+        of each, summed, bounds every squared distance; only when that bound is
+        inf or NaN, or a cell lies on the array's line, are the cells checked one
+        by one. (x - x_r)^2 is largest at an end of the array, so a cell's squared
+        distance overflows exactly when that value plus its (y - y_0)^2 is inf; it
+        coincides with an element exactly when its least (x - x_r)^2 and its
+        (y - y_0)^2 are both 0. The ValueError names the first bad cell and the
+        first of those faults, after non-finite coordinates, that it has.
+        """
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
-            d = np.subtract(points[..., 0, None], self.element_x)
-            np.square(d, out=d)
-            d += np.square(points[..., 1, None] - self.irs_origin_xy[1])
-        np.sqrt(d, out=d)
-        if d.size and not (d.min() > 0.0 and d.max() < np.inf):  # also false on NaN
-            rows, points = d.reshape(-1, d.shape[-1]), points.reshape(-1, 2)
-            for bad, reason in (
-                (~np.isfinite(points).all(axis=1), "is not finite"),
-                (rows.min(axis=1) <= 0.0, "coincides with an IRS element"),
-                (rows.max(axis=1) == np.inf, "is so far away that its squared distance overflows"),
-            ):
+            dx2 = np.subtract(row_x[:, None], self.element_x)
+            np.square(dx2, out=dx2)
+            d = dx2 if row_cells is None else np.repeat(dx2, row_cells, axis=0)
+            dy2 = np.square(cell_y - self.irs_origin_xy[1])
+            bound = dx2.max(initial=0.0) + dy2.max(initial=0.0)
+            if not (bound < np.inf and dy2.min(initial=1.0) > 0.0):  # also true on NaN
+                x = row_x if row_cells is None else np.repeat(row_x, row_cells)
+                far = np.maximum(d[:, 0], d[:, -1]) + dy2
+                faults = (
+                    (~(np.isfinite(x) & np.isfinite(cell_y)), "is not finite"),
+                    ((d.min(axis=1) == 0.0) & (dy2 == 0.0), "coincides with an IRS element"),
+                    (~(far < np.inf), "is so far away that its squared distance overflows"),
+                )
+                bad = np.logical_or.reduce([cells for cells, _ in faults])
                 if bad.any():
-                    raise ValueError(f"point {tuple(points[np.argmax(bad)].tolist())} {reason}")
-        return d
+                    c = int(np.argmax(bad))
+                    reason = next(reason for cells, reason in faults if cells[c])
+                    raise ValueError(f"point {(float(x[c]), float(cell_y[c]))} {reason}")
+        d += dy2[:, None]
+        return np.sqrt(d, out=d)
 
 
 @dataclass(frozen=True)

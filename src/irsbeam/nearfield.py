@@ -4,11 +4,15 @@ co-design with exact band-wide refocusing.
 The gain uses the package's one phase convention (see :mod:`irsbeam.model`)
 with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). Distances
 are computed in double precision straight from coordinates; no Fresnel or
-Taylor approximation is ever substituted. The path factor reduces the path
-phase to one turn and builds its phasor from a sine series, a square-root
-cosine and five complex squarings, or on small grids with numpy's complex exp
-(accuracy in :mod:`irsbeam.model`). Both designs apply the design rules of
-:mod:`irsbeam.model` to the path turns (d_r^BR + d_r^RU) f_c / c.
+Taylor approximation is ever substituted. A heatmap is evaluated from its two
+axes (:func:`_near_grid_gain`), with no list of its cells: each kernel chunk
+squares the x offsets of only its few x rows, and its range checks run on
+those rows and on its cells, not on the distances. The path factor, shared
+by point lists and grids, reduces the path phase to one turn and builds its
+phasor from a sine series, a square-root cosine and five complex squarings,
+or on small grids with numpy's complex exp (accuracy in :mod:`irsbeam.model`).
+Both designs apply the design rules of :mod:`irsbeam.model` to the path turns
+(d_r^BR + d_r^RU) f_c / c.
 """
 
 from __future__ import annotations
@@ -68,6 +72,37 @@ def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
         np.square(out, out=out)
 
 
+def _near_gain(geom, cfg, freq_hz, n_targets, distances, phases, delays) -> np.ndarray:
+    """The near-field beam gain at ``n_targets`` targets, shape ``np.shape(freq_hz) +
+    (n_targets,)``, where ``distances(lo, hi)`` gives the fresh (hi - lo, R)
+    element distances of targets lo..hi-1, one kernel chunk at a time."""
+
+    def exps(lo, hi, scale, out):
+        # turns s d less their nearest integer, so that the phasor's argument
+        # lies within half a turn; the BS leg's turns are reduced on their own,
+        # so d^BR + d^target is never rounded. With one frequency the turns
+        # overwrite the fresh distances.
+        s = scale[:, None, None]
+        d = distances(lo, hi)
+        turns = np.multiply(s, d, out=d[None] if s.size == 1 else None)
+        bs = s * geom.bs_distances
+        bs -= np.rint(bs)
+        turns += bs
+        if out.size < SERIES_MIN_EVALS:
+            turns -= np.rint(turns)
+            np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
+        else:  # the nearest integers go into out, free until the phasors are written
+            whole = out.reshape(-1).view(np.float64)[: turns.size].reshape(turns.shape)
+            turns -= np.rint(turns, out=whole)
+            _phasors(turns, out)
+
+    gains = _array_gain(
+        cfg, geom.array.n_elements, freq_hz, n_targets, exps,
+        cfg.carrier_hz / SPEED_OF_LIGHT, phases, delays,
+    )
+    return gains.reshape(np.shape(freq_hz) + (n_targets,))
+
+
 def near_gain_row(
     geom: NearFieldGeometry,
     cfg: WidebandConfig,
@@ -89,31 +124,29 @@ def near_gain_row(
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
     if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
-
-    def exps(lo, hi, scale, out):
-        # turns s d less their nearest integer, so that the phasor's argument
-        # lies within half a turn; the BS leg's turns are reduced on their own,
-        # so d^BR + d^target is never rounded. With one frequency the turns
-        # overwrite the fresh distances.
-        s = scale[:, None, None]
-        d = geom.element_distances(targets_xy[lo:hi])
-        turns = np.multiply(s, d, out=d[None] if s.size == 1 else None)
-        bs = s * geom.bs_distances
-        bs -= np.rint(bs)
-        turns += bs
-        if out.size < SERIES_MIN_EVALS:
-            turns -= np.rint(turns)
-            np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
-        else:  # the nearest integers go into out, free until the phasors are written
-            whole = out.reshape(-1).view(np.float64)[: turns.size].reshape(turns.shape)
-            turns -= np.rint(turns, out=whole)
-            _phasors(turns, out)
-
-    gains = _array_gain(
-        cfg, geom.array.n_elements, freq_hz, len(targets_xy), exps,
-        cfg.carrier_hz / SPEED_OF_LIGHT, phases, delays,
+    return _near_gain(
+        geom, cfg, freq_hz, len(targets_xy),
+        lambda lo, hi: geom.element_distances(targets_xy[lo:hi]), phases, delays,
     )
-    return gains.reshape(np.shape(freq_hz) + (len(targets_xy),))
+
+
+def _near_grid_gain(geom, cfg, freq_hz, xs, ys, phases, delays=None) -> np.ndarray:
+    """:func:`near_gain_row` at the cells (x_i, y_j) of the grid ``xs`` x ``ys``,
+    taken row-major, with no list of the cells; shape ``np.shape(freq_hz) +
+    (len(xs), len(ys))``. A chunk's distances square the x offsets of only its
+    few x rows (the first and the last may be partial), and its range checks run
+    on those rows and its cells; a bad cell is reported after the chunks before
+    it have been evaluated.
+    """
+    ny = len(ys)
+
+    def distances(lo, hi):
+        i0, i1 = lo // ny, -(-hi // ny)
+        rows = [ys[max(lo - i * ny, 0) : min(hi - i * ny, ny)] for i in range(i0, i1)]
+        return geom._cell_distances(xs[i0:i1], [len(r) for r in rows], np.concatenate(rows))
+
+    gains = _near_gain(geom, cfg, freq_hz, len(xs) * ny, distances, phases, delays)
+    return gains.reshape(gains.shape[:-1] + (len(xs), ny))
 
 
 def _design_turns(geom: NearFieldGeometry, cfg: WidebandConfig) -> np.ndarray:

@@ -4,9 +4,10 @@ squint metrics.
 
 All sweeps emit normalized gain (divided by the element count R, so the
 analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Each sweep
-is one call into the chunked gain kernel, so memory beyond the output stays
-bounded. Subcarrier selectors are 1-based; index 0 means the exact carrier
-frequency and -1 the highest subcarrier.
+is one call into the chunked gain kernel, whose fresh output it normalizes in
+place, so memory beyond the output stays bounded: a heatmap passes the kernel
+its two axes, never a list of its cells. Subcarrier selectors are 1-based;
+index 0 means the exact carrier frequency and -1 the highest subcarrier.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .model import (
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from .nearfield import near_dam_design, near_gain_row, near_optimal_phases
+from .nearfield import _near_grid_gain, near_dam_design, near_gain_row, near_optimal_phases
 
 DEFAULT_NU_GRID = (-1.0, 1.0, 1e-3)
 DEFAULT_HEATMAP_HALF_SPAN_M = 0.5
@@ -94,7 +95,8 @@ def angle_sweep(
     freqs = np.array([grid_hz[s - 1] if s else cfg.carrier_hz for s in subcarriers])
     nu = grid_points(*nu_grid)
     grid = (nu_grid[0], nu_grid[2], nu.size)
-    values = _far_grid_gain(array, cfg, freqs, grid, phases, delays) / array.n_elements
+    values = _far_grid_gain(array, cfg, freqs, grid, phases, delays)
+    values /= array.n_elements
     return GainMap(
         axes=(
             Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),
@@ -159,9 +161,8 @@ def location_heatmap(
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)
     ys = uy + grid_points(-half_span_m, half_span_m, step_m)
-    cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    gains = near_gain_row(geom, cfg, freq, cells, design.phases, design.delays)
-    values = gains.reshape(xs.size, ys.size) / geom.array.n_elements
+    values = _near_grid_gain(geom, cfg, freq, xs, ys, design.phases, design.delays)
+    values /= geom.array.n_elements
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),
         values=values,

@@ -23,7 +23,7 @@ from irsbeam import (
     subcarrier_frequencies,
     subcarrier_frequency,
 )
-from irsbeam.scan import make_design
+from irsbeam.scan import location_heatmap, make_design
 
 
 class TestWidebandConfig:
@@ -161,6 +161,13 @@ class TestNearSteeringVector:
         on_element = (geometry64.element_x[5], 1.0)
         with pytest.raises(ValueError, match=r"point \(.*\) coincides"):
             near_gain_row(geometry64, cfg200, 200e9, [(2.0, 0.0), on_element], phases)
+        # a heatmap cell on the first element, which the grid's rows and cells
+        # must catch without a list of the cells
+        geom = NearFieldGeometry((0.0, 0.0), (1.0, 1.5), (1.0, 1.0), geometry64.array)
+        message = r"point \(1.0, 1.0\) coincides with an IRS element"
+        for use_dam in (False, True):
+            with pytest.raises(ValueError, match=message):
+                location_heatmap(geom, cfg200, use_dam=use_dam, half_span_m=0.5, step_m=0.25)
 
     def test_matches_longhand_phase(self, geometry64, cfg200):
         f = 199e9

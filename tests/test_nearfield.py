@@ -12,13 +12,14 @@ from irsbeam import (
     NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
+    location_heatmap,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
     subcarrier_frequencies,
 )
 from irsbeam.cli import write_gain_map
-from irsbeam.model import TWO_PI
+from irsbeam.model import KERNEL_CHUNK, TWO_PI
 from irsbeam.nearfield import SERIES_MIN_EVALS, _phasors
 from conftest import longdouble_only, make_geometry
 from oracles import (
@@ -210,6 +211,32 @@ def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 530_740
+
+
+def test_heatmap_memory_beyond_its_output_does_not_grow_with_the_grid(cfg200):
+    """location_heatmap evaluates its grid from its two axes, so beyond its
+    output it allocates one kernel chunk's arrays, whatever the grid's size: the
+    tracemalloc peak less ``values.nbytes`` at 201 x 201 may exceed that at
+    101 x 101 only by one chunk's per-cell arrays, allowed here as eight 8-byte
+    values for each of its KERNEL_CHUNK // R cells. A list of the cells'
+    coordinates would add 16 B per cell, 0.48 MB between these grids."""
+    geom = make_geometry(cfg200, 64)
+
+    def beyond_output(step_m):
+        location_heatmap(geom, cfg200, 1, half_span_m=0.5, step_m=step_m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gm = location_heatmap(geom, cfg200, 1, half_span_m=0.5, step_m=step_m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gm.values.shape == (round(1 / step_m) + 1,) * 2
+        return peak - gm.values.nbytes
+
+    slack = 8 * 8 * (KERNEL_CHUNK // 64)
+    assert beyond_output(0.005) <= beyond_output(0.01) + slack
 
 
 def test_json_gain_map_write_holds_a_few_rows_not_the_map(tmp_path):

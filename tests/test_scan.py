@@ -225,6 +225,25 @@ class TestLocationHeatmap:
             assert gm.argmax_cell() == (20, 20)
             np.testing.assert_allclose(gm.values[20, 20], 1.0, rtol=1e-9)
 
+    # R = 16 gives 1,024-cell chunks of about ten x rows, R = 128 on 101 x 101
+    # gives 128-cell chunks that split x rows, and 5 x 5 at R = 16 is one chunk
+    # under SERIES_MIN_EVALS, which takes the complex exp
+    @pytest.mark.parametrize("use_dam", [False, True], ids=["phase_only", "dam"])
+    @pytest.mark.parametrize(
+        "n_elements,half_span_m,step_m", [(16, 0.5, 0.01), (128, 0.5, 0.01), (16, 0.01, 0.005)]
+    )
+    def test_values_equal_near_gain_row_on_the_cells(
+        self, cfg200, n_elements, half_span_m, step_m, use_dam
+    ):
+        geom = make_geometry(cfg200, n_elements)
+        gm = location_heatmap(geom, cfg200, 1, use_dam, half_span_m, step_m)
+        xs, ys = (axis.points for axis in gm.axes)
+        cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        design = make_design(geom.array, cfg200, geom, use_dam)
+        f = subcarrier_frequency(cfg200, 1)
+        row = near_gain_row(geom, cfg200, f, cells, design.phases, design.delays)
+        np.testing.assert_array_equal(gm.values, row.reshape(gm.values.shape) / n_elements)
+
     def test_grid_centers_on_user(self, geometry64, cfg200):
         gm = location_heatmap(geometry64, cfg200, half_span_m=0.05, step_m=0.005)
         assert gm.axes[0].points[0] == 3.0 - 0.05

@@ -108,10 +108,19 @@ class TestScenarioLoading:
         assert s.make_geometry() is built[0] is s.make_geometry()
         assert s.make_array() is s.array is built[0].array
 
-    def test_user_on_element_rejected(self):
+    def test_user_on_element_rejected(self, tmp_path, capsys):
         for key in ("user", "bs"):
             with pytest.raises(ScenarioError, match=f"field '{key}': .* coincides"):
                 scenario_from_dict({**MINIMAL_NEAR, key: [1.0, 1.0]})
+        # the loader accepts a heatmap whose cell (1.0, 1.0) is the first
+        # element, so the kernel's check is what stops the run
+        body = {**MINIMAL_NEAR, "user": [1.0, 1.5], "sweep": {"half_span_m": 0.5, "step_m": 0.25}}
+        scenario = write_scenario(tmp_path, body)
+        load_scenario(scenario)
+        out = tmp_path / "heat.csv"
+        assert main(["near-heatmap", "--scenario", str(scenario), "--out", str(out)]) == 2
+        assert "point (1.0, 1.0) coincides with an IRS element" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_both_geometries_rejected(self):
         with pytest.raises(ScenarioError, match="both: 'nu0' and 'bs', 'user', 'irs_origin'"):
