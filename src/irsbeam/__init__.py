@@ -25,7 +25,6 @@ from .model import (
     WidebandConfig,
     fraunhofer_distance,
     subcarrier_frequencies,
-    subcarrier_frequency,
 )
 from .nearfield import (
     near_dam_design,
@@ -72,7 +71,6 @@ __all__ = [
     "scenario_from_dict",
     "squint_metrics",
     "subcarrier_frequencies",
-    "subcarrier_frequency",
     "subcarrier_sweep_far",
     "subcarrier_sweep_near",
 ]

@@ -154,16 +154,15 @@ def _subcarrier_sweep(scenario: Scenario):
     """Gain per subcarrier at the design direction (far) or the user (near)."""
     use_dam = scenario.design == "dam"
     if scenario.regime == "far":
-        direction = scenario.direction()
-        gm = subcarrier_sweep_far(scenario.make_array(), scenario.config, direction, use_dam)
-        return gm, {"design_direction": direction}
-    gm = subcarrier_sweep_near(scenario.make_geometry(), scenario.config, use_dam)
+        gm = subcarrier_sweep_far(scenario.array, scenario.config, scenario.link, use_dam)
+        return gm, {"design_direction": scenario.link}
+    gm = subcarrier_sweep_near(scenario.link, scenario.config, use_dam)
     return gm, {"user_xy": list(scenario.user_xy)}
 
 
 def _heatmap(scenario: Scenario):
     sweep = scenario.sweep
-    gm = location_heatmap(scenario.make_geometry(), scenario.config, subcarrier=sweep.subcarrier,
+    gm = location_heatmap(scenario.link, scenario.config, subcarrier=sweep.subcarrier,
                           use_dam=scenario.design == "dam", half_span_m=sweep.half_span_m,
                           step_m=sweep.step_m)
     cell = gm.argmax_cell()

@@ -29,15 +29,11 @@ frequency, E_r = exp(-j (1 + f/f_c) P_r) only on the frequency and the target.
 In the far field P_r is linear in r, so E_r = z^(r-1) with
 z = exp(-j pi (1 + f/f_c) nu): the array factor is a polynomial in z
 (Schelkunoff, 1943), and its powers cost one exp and R - 1 complex multiplies
-per (frequency, direction) instead of R exps. Their rounding grows with r but
-stays below that of the phases themselves: against the Dirichlet closed form,
-the far gain at R = 1024 over nu in [-2, 2] errs by at most 3.3e-10. Angle
-sweeps skip this kernel: on their uniform nu grid, an arc of the unit circle,
-chirp-z transforms, their FFTs batched over frequencies at 5-smooth lengths,
+per (frequency, direction) instead of R exps. Angle sweeps skip this kernel:
+on their uniform nu grid, an arc of the unit circle, chirp-z transforms
 evaluate the polynomial in O((N + R) log(N + R)) per frequency instead of
-O(N R) (see ``farfield._far_grid_gain``). At R = 1024 over nu in [-2, 2] at
-step 1e-4 they err from the Dirichlet form by at most 7.4e-10 (the kernel:
-6.2e-10), and their normalized gains differ from the kernel's by at most 6.8e-13.
+O(N R) (see ``farfield._far_grid_gain``). Both routes meet the Dirichlet
+closed form, and each other, within 1e-9.
 
 In the near field the path factor forms the turns t = s d_r of each leg,
 with s = (1 + f/f_c) f_c / c in turns per meter, and subtracts their
@@ -50,13 +46,9 @@ float64, so on grids of at least ``nearfield.SERIES_MIN_EVALS`` evaluations
 the phasor exp(-j 2 pi t) is built from ufuncs that have one: the sine of
 theta = -2 pi t / 2^5 from its Taylor series to theta^9, the cosine as
 sqrt(1 - sin^2), and five complex squarings of cos + j sin, all inside the
-chunk buffer. Its phasors differ from the complex exp's by at most 4.2e-15, and
-normalized fig6 and fig8 heatmap gains by at most 8e-16. Against a long-double
-oracle from raw coordinates, the fig6 and fig8 heatmap grids (R = 64, lowest
-subcarrier) err by at most 7.2e-13 R and 7.3e-13 R. Over that grid and 3,000
-points around the user, at the band edges and the carrier, both designs err by
-at most 1.5e-12 R, 8.7e-13 R and 4.5e-13 R at R = 16, 64 and 256: the rounding
-of the phases, not of their phasors, sets these errors.
+chunk buffer. Its phasors lie within 2^8 u (u = 2^-53) of the complex exp's.
+Against a long-double oracle from raw coordinates, a near gain errs by at
+most R times 8 ulp of 2 pi s L_max, L_max the longest BS-element-target path.
 
 One design rule per remedy serves both regimes, in the path turns
 t_r = P_r / 2 pi at the design point. The phase-only design cancels the path
@@ -66,7 +58,8 @@ tau_r = (max t - t_r) / f_c, the common delay max t / f_c less P_r / (2 pi f_c),
 the part f P_r / f_c. Each regime gives only its turns, in ``np.longdouble``:
 (r-1) nu0 / 2 in the far field (exact for R <= 2^11) and
 (d_r^BR + d_r^RU) f_c / c in the near field, reduced to one turn there before
-the 2 pi scale.
+the 2 pi scale. Far design phases lie within 2 ulp of 2 pi of an exact rational
+oracle, near ones within 8 ulp of their largest unreduced phase.
 """
 
 from __future__ import annotations
@@ -191,7 +184,7 @@ class NearFieldGeometry:
         points = np.asarray(points_xy, dtype=np.float64)
         flat = points.reshape(-1, 2)
         d = self._cell_distances(flat[:, 0], None, flat[:, 1])
-        return d.reshape(points.shape[:-1] + (-1,))
+        return d.reshape(points.shape[:-1] + (self.array.n_elements,))
 
     def _cell_distances(self, row_x, row_cells, cell_y) -> np.ndarray:
         """Distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to each
@@ -231,6 +224,17 @@ class NearFieldGeometry:
         return np.sqrt(d, out=d)
 
 
+def _checked_profile(values, kind: str) -> np.ndarray:
+    """``values`` as a float array; raises, naming ``kind``, unless it is 1-D,
+    non-empty and finite."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size < 1:
+        raise ValueError(f"{kind} must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{kind} must be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class PhaseProfile:
     """Per-element reflection phase shifts, canonicalized into [0, 2*pi)."""
@@ -238,12 +242,7 @@ class PhaseProfile:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64)
-        if phases.ndim != 1 or phases.size < 1:
-            raise ValueError("phases must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("phases must be finite")
-        wrapped = np.mod(phases, TWO_PI)
+        wrapped = np.mod(_checked_profile(self.phases, "phases"), TWO_PI)
         # mod can round up to exactly 2*pi for tiny negative inputs
         wrapped[wrapped >= TWO_PI] = 0.0
         object.__setattr__(self, "phases", _readonly(wrapped))
@@ -259,11 +258,7 @@ class DelayProfile:
     delays: np.ndarray
 
     def __post_init__(self):
-        delays = np.asarray(self.delays, dtype=np.float64)
-        if delays.ndim != 1 or delays.size < 1:
-            raise ValueError("delays must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(delays)):
-            raise ValueError("delays must be finite")
+        delays = _checked_profile(self.delays, "delays")
         if np.any(delays < 0.0):
             raise ValueError("delays must be non-negative (physical realizability)")
         object.__setattr__(self, "delays", _readonly(delays))
@@ -363,21 +358,6 @@ def subcarrier_frequencies(cfg: WidebandConfig) -> np.ndarray:
     )
 
 
-def subcarrier_frequency(cfg: WidebandConfig, index: int) -> float:
-    """Frequency of subcarrier ``index`` (1-based).
-
-    Index 0 selects the exact carrier f_c, which for even M is not itself a
-    grid point; sweeps use it for their center row.
-    """
-    if index == 0:
-        return cfg.carrier_hz
-    if not 1 <= index <= cfg.n_subcarriers:
-        raise ValueError(
-            f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, got {index}"
-        )
-    return float(subcarrier_frequencies(cfg)[index - 1])
-
-
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
     """Resolve the -1 shorthand for the highest subcarrier M; raises unless
     the index is then 0 (carrier) or 1..M."""
@@ -450,15 +430,9 @@ def _array_gain(
     E with w in one matmul and holds about KERNEL_CHUNK element evaluations:
     a block of targets, and for short blocks several frequencies. All chunks
     share one ``out`` buffer: a fresh one per chunk is often handed back to the
-    OS on release and page-faulted in again by the next chunk. A grid of at
-    most KERNEL_CHUNK evaluations is one chunk, with no loops and no buffer.
+    OS on release and page-faulted in again by the next chunk.
     """
     freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays)
-    if freqs.size * n_targets * n_elements <= KERNEL_CHUNK:
-        factor = np.empty((freqs.size, n_targets, n_elements), np.complex128)
-        path_factor(0, n_targets, scale, factor)
-        weights = _element_weights(freqs, phases, delays)
-        return np.abs(factor @ weights[..., None])[..., 0]
     out = np.empty((freqs.size, n_targets))
     n_rows = max(1, min(n_targets, KERNEL_CHUNK // n_elements))
     n_freqs = max(1, KERNEL_CHUNK // (n_rows * n_elements))

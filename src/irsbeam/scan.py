@@ -26,7 +26,6 @@ from .model import (
     WidebandConfig,
     resolve_subcarrier,
     subcarrier_frequencies,
-    subcarrier_frequency,
 )
 from .nearfield import _near_grid_gain, near_dam_design, near_gain_row, near_optimal_phases
 
@@ -61,6 +60,22 @@ def grid_points(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(grid_size(start, stop, step))
 
 
+def _subcarrier_rows(cfg: WidebandConfig, selectors) -> tuple[list[int], np.ndarray]:
+    """The subcarrier ``selectors`` resolved by :func:`resolve_subcarrier`, and
+    their frequencies: f_c for 0, else the grid's f_m."""
+    rows = [resolve_subcarrier(cfg, s) for s in selectors]
+    grid_hz = subcarrier_frequencies(cfg)
+    return rows, np.array([grid_hz[s - 1] if s else cfg.carrier_hz for s in rows])
+
+
+def _per_subcarrier(gains: np.ndarray, n_elements: int) -> GainMap:
+    """The (M, 1) kernel ``gains`` at one target as a normalized map over subcarriers 1..M."""
+    return GainMap(
+        axes=(Axis("subcarrier", "index", np.arange(1, len(gains) + 1)),),
+        values=gains[:, 0] / n_elements,
+    )
+
+
 def make_design(
     array: IrsArray, cfg: WidebandConfig, link: float | NearFieldGeometry, use_dam: bool = False
 ) -> Design:
@@ -88,11 +103,9 @@ def angle_sweep(
     ``subcarriers`` lists 1-based indices (0 = carrier); -1 is shorthand for
     the highest subcarrier. ``nu_grid`` is (start, stop, step).
     """
-    subcarriers = [resolve_subcarrier(cfg, s) for s in subcarriers]
+    subcarriers, freqs = _subcarrier_rows(cfg, subcarriers)
     if not subcarriers:
         raise ValueError("at least one subcarrier row is required")
-    grid_hz = subcarrier_frequencies(cfg)
-    freqs = np.array([grid_hz[s - 1] if s else cfg.carrier_hz for s in subcarriers])
     nu = grid_points(*nu_grid)
     grid = (nu_grid[0], nu_grid[2], nu.size)
     values = _far_grid_gain(array, cfg, freqs, grid, phases, delays)
@@ -118,11 +131,7 @@ def subcarrier_sweep_far(
     gains = far_beam_gain_profile(
         array, cfg, subcarrier_frequencies(cfg), [design_direction], design.phases, design.delays
     )
-    values = gains[:, 0] / array.n_elements
-    return GainMap(
-        axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
-        values=values,
-    )
+    return _per_subcarrier(gains, array.n_elements)
 
 
 def subcarrier_sweep_near(
@@ -134,11 +143,7 @@ def subcarrier_sweep_near(
         geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]),
         design.phases, design.delays,
     )
-    values = gains[:, 0] / geom.array.n_elements
-    return GainMap(
-        axes=(Axis("subcarrier", "index", np.arange(1, cfg.n_subcarriers + 1)),),
-        values=values,
-    )
+    return _per_subcarrier(gains, geom.array.n_elements)
 
 
 def location_heatmap(
@@ -157,7 +162,7 @@ def location_heatmap(
     ``subcarrier`` is 1-based (0 = carrier, -1 = highest subcarrier).
     """
     design = make_design(geom.array, cfg, geom, use_dam)
-    freq = subcarrier_frequency(cfg, resolve_subcarrier(cfg, subcarrier))
+    (freq,) = _subcarrier_rows(cfg, [subcarrier])[1]
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)
     ys = uy + grid_points(-half_span_m, half_span_m, step_m)

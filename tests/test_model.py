@@ -21,9 +21,9 @@ from irsbeam import (
     near_gain_row,
     near_optimal_phases,
     subcarrier_frequencies,
-    subcarrier_frequency,
 )
-from irsbeam.scan import location_heatmap, make_design
+from irsbeam.model import resolve_subcarrier
+from irsbeam.scan import _subcarrier_rows, location_heatmap, make_design
 
 
 class TestWidebandConfig:
@@ -77,12 +77,14 @@ class TestSubcarrierGrid:
 
     def test_selector_indexing(self, cfg200):
         f = subcarrier_frequencies(cfg200)
-        assert subcarrier_frequency(cfg200, 0) == cfg200.carrier_hz
-        assert subcarrier_frequency(cfg200, 1) == f[0]
-        assert subcarrier_frequency(cfg200, 128) == f[-1]
-        for bad in (-1, 129):
-            with pytest.raises(ValueError):
-                subcarrier_frequency(cfg200, bad)
+        rows, freqs = _subcarrier_rows(cfg200, [0, 1, 128, -1])
+        assert rows == [0, 1, 128, 128]
+        assert freqs.tolist() == [cfg200.carrier_hz, f[0], f[-1], f[-1]]
+        for bad in (-2, 129):
+            with pytest.raises(ValueError) as want:
+                resolve_subcarrier(cfg200, bad)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                _subcarrier_rows(cfg200, [1, bad])
 
 
 class TestFarSteeringVector:
@@ -195,6 +197,18 @@ class TestNearSteeringVector:
             near_gain_row(geometry64, cfg200, 200e9, targets, PhaseProfile(np.zeros(64)))
 
 
+def test_empty_target_lists_give_empty_results(array64, geometry64, cfg200):
+    """No targets give no distances and no gains, in the shapes a non-empty
+    list would have, from both kernels."""
+    none = np.empty((0, 2))
+    phases = PhaseProfile(np.zeros(64))
+    freqs = subcarrier_frequencies(cfg200)[:3]
+    assert geometry64.element_distances(none).shape == (0, 64)
+    assert near_gain_row(geometry64, cfg200, 200e9, none, phases).shape == (0,)
+    assert near_gain_row(geometry64, cfg200, freqs, none, phases).shape == (3, 0)
+    assert far_beam_gain_profile(array64, cfg200, freqs, [], phases).shape == (3, 0)
+
+
 class TestProfilesAndTypes:
     def test_phase_profile_wraps_into_canonical_range(self):
         p = PhaseProfile(np.array([-0.1, 2 * np.pi + 0.25, 7 * np.pi]))
@@ -206,6 +220,17 @@ class TestProfilesAndTypes:
         p = PhaseProfile(np.zeros(4))
         with pytest.raises(ValueError):
             p.phases[0] = 1.0
+
+    @pytest.mark.parametrize("profile,kind", [(PhaseProfile, "phases"), (DelayProfile, "delays")])
+    @pytest.mark.parametrize("values,fault", [
+        (np.empty(0), "a non-empty 1-D vector"),
+        (np.zeros((2, 2)), "a non-empty 1-D vector"),
+        (np.array([0.0, np.nan]), "finite"),
+        (np.array([np.inf, 0.0]), "finite"),
+    ], ids=["empty", "2-d", "nan", "inf"])
+    def test_profiles_reject_malformed_values(self, profile, kind, values, fault):
+        with pytest.raises(ValueError, match=re.escape(f"{kind} must be {fault}")):
+            profile(values)
 
     def test_delay_profile_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

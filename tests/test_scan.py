@@ -22,7 +22,6 @@ from irsbeam import (
     scenario_from_dict,
     squint_metrics,
     subcarrier_frequencies,
-    subcarrier_frequency,
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
@@ -115,7 +114,9 @@ class TestAngleSweep:
             st.lists(st.integers(-1, cfg.n_subcarriers), min_size=1, max_size=3), label="rows"
         )
         gm = angle_sweep(array, cfg, phases, delays, rows, nu_grid)
-        freqs = [subcarrier_frequency(cfg, resolve_subcarrier(cfg, r)) for r in rows]
+        grid_hz = subcarrier_frequencies(cfg)
+        resolved = [resolve_subcarrier(cfg, r) for r in rows]
+        freqs = [grid_hz[r - 1] if r else cfg.carrier_hz for r in resolved]
         kernel = far_beam_gain_profile(array, cfg, freqs, grid_points(*nu_grid), phases, delays)
         np.testing.assert_allclose(gm.values, kernel / n_elements, rtol=0, atol=1e-9 / n_elements)
         assert (gm.values <= 1.0 + NORMALIZED_GAIN_SLACK).all()
@@ -123,7 +124,7 @@ class TestAngleSweep:
     @pytest.mark.parametrize("bad", [-2, 129])
     def test_bad_row_raises_the_selector_error(self, array64, cfg200, bad):
         with pytest.raises(ValueError) as want:
-            subcarrier_frequency(cfg200, bad)
+            resolve_subcarrier(cfg200, bad)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             angle_sweep(array64, cfg200, far_optimal_phases(array64, 0.5), subcarriers=(1, bad))
 
@@ -240,7 +241,7 @@ class TestLocationHeatmap:
         xs, ys = (axis.points for axis in gm.axes)
         cells = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
         design = make_design(geom.array, cfg200, geom, use_dam)
-        f = subcarrier_frequency(cfg200, 1)
+        f = subcarrier_frequencies(cfg200)[0]
         row = near_gain_row(geom, cfg200, f, cells, design.phases, design.delays)
         np.testing.assert_array_equal(gm.values, row.reshape(gm.values.shape) / n_elements)
 

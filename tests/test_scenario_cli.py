@@ -684,6 +684,30 @@ class TestCli:
             "fig3/design.csv same", "fig3/metrics.csv missing", "fig4/design.csv added",
         ]
 
+    def test_code_lines_leaves_out_blanks_comments_and_bare_strings(self, tmp_path):
+        fixture = tmp_path / "fixture.py"
+        fixture.write_text(
+            '"""A module docstring\n'
+            'of two lines."""\n'
+            "\n"
+            "# a comment\n"
+            "LIMIT = 3  # code with a comment\n"
+            '"""An attribute docstring."""\n'
+            'TEXT = """a string in\n'
+            'an expression is code"""\n'
+            "\n"
+            "def f(x):\n"
+            '    """A function docstring."""\n'
+            "    return x\n"
+        )
+        # twice, to show that the counts of several files are summed
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(fixture), str(fixture)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "lines 24\ncode 10\n"
+
 
 PRESET_SUBCOMMANDS = {
     "fig2a": "far-angle-sweep",
