@@ -42,9 +42,8 @@ instead of at some 10^4 rad. The BS leg d_r^BR, the same for every target, is
 reduced on its own and added to the target leg's turns, so the summed distance
 d_r^BR + d_r^target is never rounded. The distances are
 sqrt((x - x_r)^2 + (y - y_0)^2). numpy's complex exp has no SIMD loop for
-float64, so on grids of at least ``nearfield.SERIES_MIN_EVALS`` evaluations
-the phasor exp(-j 2 pi t) is built from ufuncs that have one: the sine of
-theta = -2 pi t / 2^5 from its Taylor series to theta^9, the cosine as
+float64, so the phasor exp(-j 2 pi t) is built from ufuncs that have one: the
+sine of theta = -2 pi t / 2^5 from its Taylor series to theta^9, the cosine as
 sqrt(1 - sin^2), and five complex squarings of cos + j sin, all inside the
 chunk buffer. Its phasors lie within 2^8 u (u = 2^-53) of the complex exp's.
 Against a long-double oracle from raw coordinates, a near gain errs by at
@@ -179,17 +178,28 @@ class NearFieldGeometry:
         distance overflows. The distance is the sqrt of the summed squared
         offsets, so below about 1e-154 m it loses precision to underflow in
         the squares, and below about 1e-162 m it reads 0: such a point counts
-        as coincident.
+        as coincident. The points are taken KERNEL_CHUNK evaluations at a time,
+        so beyond its result the call holds one chunk's scratch.
         """
         points = np.asarray(points_xy, dtype=np.float64)
         flat = points.reshape(-1, 2)
-        d = self._cell_distances(flat[:, 0], None, flat[:, 1])
+        d = np.empty((len(flat), self.array.n_elements))
+        n = max(1, KERNEL_CHUNK // self.array.n_elements)
+        scratch = np.empty(min(n, len(flat)) * self.array.n_elements)
+        for lo in range(0, len(flat), n):
+            chunk = d[lo : lo + n]
+            self._cell_distances(flat[lo : lo + n, 0], None, flat[lo : lo + n, 1],
+                                 chunk, scratch[: chunk.size])
         return d.reshape(points.shape[:-1] + (self.array.n_elements,))
 
-    def _cell_distances(self, row_x, row_cells, cell_y) -> np.ndarray:
-        """Distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to each
-        cell, shape (cells, R). Row k holds ``row_cells[k]`` consecutive cells at
-        x = ``row_x[k]`` (one cell each if None), and cell c lies at y = ``cell_y[c]``.
+    def _cell_distances(self, row_x, row_cells, cell_y, d, scratch) -> None:
+        """Write the distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to
+        each cell into ``d``, shape (cells, R). Row k holds ``row_cells[k]`` consecutive
+        cells at x = ``row_x[k]`` (one cell each if None), and cell c lies at
+        y = ``cell_y[c]``. ``scratch`` is a flat float array of at least ``d.size``
+        values, or of twice that with ``row_cells``. Every operand broadcast over the
+        elements or the cells is first copied into it: a ufunc allocates an iterator
+        buffer of up to 64 KiB for each broadcast operand, and np.copyto none.
 
         The squared x offsets are formed once per row, and the range checks run
         on them and on the cells' (y - y_0)^2, not on the distances. The largest
@@ -201,14 +211,21 @@ class NearFieldGeometry:
         (y - y_0)^2 are both 0. The ValueError names the first bad cell and the
         first of those faults, after non-finite coordinates, that it has.
         """
+        n_rows, n_elements = row_x.size, self.element_x.size
+        dx2 = d if row_cells is None else scratch[: n_rows * n_elements].reshape(n_rows, -1)
+        element_x = scratch[scratch.size - dx2.size :].reshape(dx2.shape)
+        np.copyto(dx2, row_x[:, None])
+        np.copyto(element_x, self.element_x)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
-            dx2 = np.subtract(row_x[:, None], self.element_x)
+            np.subtract(dx2, element_x, out=dx2)
             np.square(dx2, out=dx2)
-            d = dx2 if row_cells is None else np.repeat(dx2, row_cells, axis=0)
             dy2 = np.square(cell_y - self.irs_origin_xy[1])
+            row = None if row_cells is None else np.repeat(np.arange(n_rows), row_cells)
+            if row is not None:  # each row's squared offsets spread over its cells
+                np.take(dx2, row, axis=0, out=d, mode="clip")
             bound = dx2.max(initial=0.0) + dy2.max(initial=0.0)
             if not (bound < np.inf and dy2.min(initial=1.0) > 0.0):  # also true on NaN
-                x = row_x if row_cells is None else np.repeat(row_x, row_cells)
+                x = row_x if row is None else row_x[row]
                 far = np.maximum(d[:, 0], d[:, -1]) + dy2
                 faults = (
                     (~(np.isfinite(x) & np.isfinite(cell_y)), "is not finite"),
@@ -220,14 +237,16 @@ class NearFieldGeometry:
                     c = int(np.argmax(bad))
                     reason = next(reason for cells, reason in faults if cells[c])
                     raise ValueError(f"point {(float(x[c]), float(cell_y[c]))} {reason}")
-        d += dy2[:, None]
-        return np.sqrt(d, out=d)
+        cell_dy2 = scratch[: d.size].reshape(d.shape)
+        np.copyto(cell_dy2, dy2[:, None])
+        d += cell_dy2
+        np.sqrt(d, out=d)
 
 
 def _checked_profile(values, kind: str) -> np.ndarray:
-    """``values`` as a float array; raises, naming ``kind``, unless it is 1-D,
-    non-empty and finite."""
-    values = np.asarray(values, dtype=np.float64)
+    """``values`` as a fresh float array, so the caller's own stays writable; raises,
+    naming ``kind``, unless it is 1-D, non-empty and finite."""
+    values = np.array(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 1:
         raise ValueError(f"{kind} must be a non-empty 1-D vector")
     if not np.all(np.isfinite(values)):
@@ -302,14 +321,14 @@ def _dam_design(turns: np.ndarray, carrier_hz: float, summary: Mapping[str, obje
 
 @dataclass(frozen=True)
 class Axis:
-    """One named, unit-carrying axis of a GainMap."""
+    """One named, unit-carrying axis of a GainMap; it keeps a read-only copy of its points."""
 
     name: str
     unit: str
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points)
+        points = np.array(self.points)
         if points.ndim != 1 or points.size < 1:
             raise ValueError(f"axis '{self.name}' must have a non-empty 1-D point list")
         object.__setattr__(self, "points", _readonly(points))
@@ -360,7 +379,9 @@ def subcarrier_frequencies(cfg: WidebandConfig) -> np.ndarray:
 
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
     """Resolve the -1 shorthand for the highest subcarrier M; raises unless
-    the index is then 0 (carrier) or 1..M."""
+    the index is an integer, not a bool, that is then 0 (carrier) or 1..M."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+        raise ValueError(f"subcarrier index must be an integer, got {index!r}")
     resolved = cfg.n_subcarriers if index == -1 else index
     if not 0 <= resolved <= cfg.n_subcarriers:
         raise ValueError(
@@ -405,7 +426,8 @@ def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -
     exponent = phases.phases[None, :]
     if delays is not None:
         exponent = exponent - TWO_PI * freqs[:, None] * delays.delays
-    return np.exp(1j * exponent)
+    weights = np.multiply(1j, exponent)  # exp in place: one (F, R) complex array per block
+    return np.exp(weights, out=weights)
 
 
 def _array_gain(
@@ -428,9 +450,14 @@ def _array_gain(
     (wavenumber pi), exp(-j 2 pi s d) of the exact distances d in the near field
     (wavenumber f_c / c, in turns per meter). Each chunk contracts
     E with w in one matmul and holds about KERNEL_CHUNK element evaluations:
-    a block of targets, and for short blocks several frequencies. All chunks
-    share one ``out`` buffer: a fresh one per chunk is often handed back to the
-    OS on release and page-faulted in again by the next chunk.
+    a block of targets, and for short blocks several frequencies.
+
+    Per call the kernel holds the (F, N) result and one complex chunk buffer,
+    16 B per evaluation, that every chunk's ``out`` shares: a fresh one per
+    chunk is often handed back to the OS on release and page-faulted in again
+    by the next chunk. Per block of frequencies it holds the weights, per chunk
+    the matmul product and its modulus, a few values per target. Anything more
+    is the path factor's.
     """
     freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays)
     out = np.empty((freqs.size, n_targets))

@@ -9,8 +9,17 @@ axes (:func:`_near_grid_gain`), with no list of its cells: each kernel chunk
 squares the x offsets of only its few x rows, and its range checks run on
 those rows and on its cells, not on the distances. The path factor, shared
 by point lists and grids, reduces the path phase to one turn and builds its
-phasor from a sine series, a square-root cosine and five complex squarings,
-or on small grids with numpy's complex exp (accuracy in :mod:`irsbeam.model`).
+phasor from a sine series, a square-root cosine and five complex squarings
+(accuracy in :mod:`irsbeam.model`).
+
+Beside the kernel's complex chunk buffer, a call allocates one float chunk
+buffer, 8 B per evaluation: a chunk's distances are written into it, and its
+turns overwrite them there. Every ufunc runs on operands of one shape, since
+numpy allocates an iterator buffer of up to 64 KiB for each broadcast operand:
+a broadcast factor is first spread with ``np.copyto``, which allocates none,
+into the float halves of the complex buffer, free until the phasors are
+written. Per chunk only arrays of a few values per target are made: the
+targets' (y - y_0)^2 and, for a grid, its cells' y and the x row of each cell.
 Both designs apply the design rules of :mod:`irsbeam.model` to the path turns
 (d_r^BR + d_r^RU) f_c / c.
 """
@@ -31,12 +40,6 @@ from .model import (
     _dam_design,
     _phase_only_phases,
 )
-
-SERIES_MIN_EVALS = 1024
-"""Fewest element evaluations in a chunk for which the path factor builds its
-phasors with :func:`_phasors`. Smaller chunks, such as one point's, take
-numpy's complex exp, whose fewer calls cost less there: the two cross near
-this size."""
 
 # sin(k t) / t = k - k^3 t^2 / 3! + ... + k^9 t^8 / 9! with k = -2 pi / 2^5,
 # highest power first; the next term is below 2e-18 of the sum for |t| <= 1/2
@@ -74,27 +77,39 @@ def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
 
 def _near_gain(geom, cfg, freq_hz, n_targets, distances, phases, delays) -> np.ndarray:
     """The near-field beam gain at ``n_targets`` targets, shape ``np.shape(freq_hz) +
-    (n_targets,)``, where ``distances(lo, hi)`` gives the fresh (hi - lo, R)
-    element distances of targets lo..hi-1, one kernel chunk at a time."""
+    (n_targets,)``, where ``distances(lo, hi, d, scratch)`` writes the (hi - lo, R)
+    element distances of targets lo..hi-1 into ``d``, one kernel chunk at a time,
+    given a flat float ``scratch`` of at least twice d's size."""
+    turns_buffer = None
 
     def exps(lo, hi, scale, out):
         # turns s d less their nearest integer, so that the phasor's argument
         # lies within half a turn; the BS leg's turns are reduced on their own,
-        # so d^BR + d^target is never rounded. With one frequency the turns
-        # overwrite the fresh distances.
-        s = scale[:, None, None]
-        d = distances(lo, hi)
-        turns = np.multiply(s, d, out=d[None] if s.size == 1 else None)
-        bs = s * geom.bs_distances
-        bs -= np.rint(bs)
-        turns += bs
-        if out.size < SERIES_MIN_EVALS:
-            turns -= np.rint(turns)
-            np.exp(np.multiply(turns, -TWO_PI * 1j, out=out), out=out)
-        else:  # the nearest integers go into out, free until the phasors are written
-            whole = out.reshape(-1).view(np.float64)[: turns.size].reshape(turns.shape)
-            turns -= np.rint(turns, out=whole)
-            _phasors(turns, out)
+        # so d^BR + d^target is never rounded. Each broadcast factor is spread
+        # into a float half of out first (module docstring).
+        nonlocal turns_buffer
+        if turns_buffer is None:  # the first chunk is the largest
+            turns_buffer = np.empty(out.size)
+        turns = turns_buffer[: out.size].reshape(out.shape)
+        scratch = out.reshape(-1).view(np.float64)
+        lower, upper = scratch.reshape(2, *out.shape)
+        distances(lo, hi, turns[0], scratch)
+        if scale.size == 1:  # in place by the scalar: cheaper than spreading s and d
+            np.multiply(turns, scale[0], out=turns)
+        else:
+            np.copyto(lower, scale[:, None, None])
+            np.copyto(upper, turns[0])
+            np.multiply(lower, upper, out=turns)
+        # the BS leg's turns once per frequency, (F, 1, R), then spread over the targets
+        bs, whole = scratch[: 2 * scale.size * geom.array.n_elements].reshape(2, scale.size, 1, -1)
+        np.copyto(bs, geom.bs_distances)
+        np.copyto(whole, scale[:, None, None])
+        np.multiply(whole, bs, out=bs)
+        bs -= np.rint(bs, out=whole)
+        np.copyto(upper, bs)
+        turns += upper
+        turns -= np.rint(turns, out=lower)
+        _phasors(turns, out)
 
     gains = _array_gain(
         cfg, geom.array.n_elements, freq_hz, n_targets, exps,
@@ -118,16 +133,17 @@ def near_gain_row(
     array of them; the result has shape ``np.shape(freq_hz) + (N,)`` and is
     evaluated in bounded-memory chunks. Every point must be finite: the
     frequencies and profiles are checked first, then each chunk's points as
-    ``geom.element_distances`` forms their distances, so a bad point is reported
-    after the chunks before it have been evaluated.
+    their distances are formed (as by ``geom.element_distances``), so a bad
+    point is reported after the chunks before it have been evaluated.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
     if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
-    return _near_gain(
-        geom, cfg, freq_hz, len(targets_xy),
-        lambda lo, hi: geom.element_distances(targets_xy[lo:hi]), phases, delays,
-    )
+
+    def distances(lo, hi, d, scratch):
+        geom._cell_distances(targets_xy[lo:hi, 0], None, targets_xy[lo:hi, 1], d, scratch)
+
+    return _near_gain(geom, cfg, freq_hz, len(targets_xy), distances, phases, delays)
 
 
 def _near_grid_gain(geom, cfg, freq_hz, xs, ys, phases, delays=None) -> np.ndarray:
@@ -140,10 +156,12 @@ def _near_grid_gain(geom, cfg, freq_hz, xs, ys, phases, delays=None) -> np.ndarr
     """
     ny = len(ys)
 
-    def distances(lo, hi):
+    def distances(lo, hi, d, scratch):
         i0, i1 = lo // ny, -(-hi // ny)
         rows = [ys[max(lo - i * ny, 0) : min(hi - i * ny, ny)] for i in range(i0, i1)]
-        return geom._cell_distances(xs[i0:i1], [len(r) for r in rows], np.concatenate(rows))
+        geom._cell_distances(
+            xs[i0:i1], [len(r) for r in rows], np.concatenate(rows), d, scratch
+        )
 
     gains = _near_gain(geom, cfg, freq_hz, len(xs) * ny, distances, phases, delays)
     return gains.reshape(gains.shape[:-1] + (len(xs), ny))

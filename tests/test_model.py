@@ -23,7 +23,7 @@ from irsbeam import (
     subcarrier_frequencies,
 )
 from irsbeam.model import resolve_subcarrier
-from irsbeam.scan import _subcarrier_rows, location_heatmap, make_design
+from irsbeam.scan import _subcarrier_rows, angle_sweep, location_heatmap, make_design
 
 
 class TestWidebandConfig:
@@ -85,6 +85,16 @@ class TestSubcarrierGrid:
                 resolve_subcarrier(cfg200, bad)
             with pytest.raises(ValueError, match=re.escape(str(want.value))):
                 _subcarrier_rows(cfg200, [1, bad])
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.5, np.float64(2.0), "1"])
+    def test_selector_must_be_an_integer(self, cfg200, array64, bad):
+        # a bool would be taken as row 1, a float end in numpy's IndexError
+        message = re.escape(f"subcarrier index must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            resolve_subcarrier(cfg200, bad)
+        with pytest.raises(ValueError, match=message):
+            angle_sweep(array64, cfg200, far_optimal_phases(array64, 0.5), subcarriers=(bad,))
+        assert resolve_subcarrier(cfg200, np.int64(-1)) == 128
 
 
 class TestFarSteeringVector:
@@ -231,6 +241,18 @@ class TestProfilesAndTypes:
     def test_profiles_reject_malformed_values(self, profile, kind, values, fault):
         with pytest.raises(ValueError, match=re.escape(f"{kind} must be {fault}")):
             profile(values)
+
+    def test_delay_profile_leaves_its_input_writable(self):
+        delays = np.zeros(3)
+        profile = DelayProfile(delays)
+        delays[0] = 1.0
+        assert profile.delays[0] == 0.0
+
+    def test_axis_leaves_its_input_writable(self):
+        points = np.zeros(3)
+        axis = Axis("x", "m", points)
+        points[0] = 1.0
+        assert axis.points[0] == 0.0
 
     def test_delay_profile_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -20,7 +20,7 @@ from irsbeam import (
 )
 from irsbeam.cli import write_gain_map
 from irsbeam.model import KERNEL_CHUNK, TWO_PI
-from irsbeam.nearfield import SERIES_MIN_EVALS, _phasors
+from irsbeam.nearfield import _phasors
 from conftest import longdouble_only, make_geometry
 from oracles import (
     near_dam_delays_longdouble,
@@ -149,8 +149,8 @@ def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     magnitude: s = (2 pi / lambda_c)(1 + f/f_c) and L_max the longest
     BS-to-element-to-target path (every coordinate here is shorter). So eight
     ulp of s L_max bound each term's phase error, and R of them a gain's. The
-    phasor of the reduced phase adds a few ulp of 1 per term by either route,
-    the complex exp or, from SERIES_MIN_EVALS evaluations on, the sine series."""
+    sine-series phasor of the reduced phase adds a few ulp of 1 per term, on
+    large grids and small ones alike."""
     geom = make_geometry(cfg200, n_elements)
     rng = np.random.default_rng(n_elements)
     points = np.array(geom.user_xy) + rng.uniform(-0.5, 0.5, (3000, 2))
@@ -167,8 +167,8 @@ def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     got = near_gain_row(geom, cfg200, freqs[0], points, dam.phases, dam.delays)
     want = near_gain_longdouble(cfg200, geom, freqs[0], points, dam.phases, dam.delays)
     assert np.abs(got - want).max() <= bound
-    # the fig6 design on a grid small enough for the complex exp
-    few = points[: (SERIES_MIN_EVALS - 1) // n_elements]
+    # the fig6 design on one chunk of under 1,024 evaluations
+    few = points[: 1023 // n_elements]
     got = near_gain_row(geom, cfg200, freqs[0], few, phases)
     assert np.abs(got - near_gain_longdouble(cfg200, geom, freqs[0], few, phases)).max() <= bound
 
@@ -211,6 +211,46 @@ def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 530_740
+
+
+@pytest.mark.parametrize("n_elements,call", [
+    (16, "heatmap"), (128, "heatmap"), (128, "point list"),
+])
+def test_near_call_holds_two_chunk_buffers_beyond_its_output(cfg200, n_elements, call):
+    """Beyond its output, a near call allocates two buffers of at most
+    KERNEL_CHUNK evaluations each: the kernel's complex chunk buffer (16 B per
+    evaluation) and the float one of the distances and turns (8 B). Per chunk
+    it makes at most three 8-byte values for each of its KERNEL_CHUNK // R
+    targets at a time: a grid's cell y, (y - y_0)^2 and row index while the
+    distances are formed, then the matmul product (16 B) and its modulus. 32 KiB
+    covers the design, the weights, the axes and the interpreter's objects. So
+    a single 64 KiB iterator buffer of a broadcast ufunc breaks the bound; a
+    101 x 101 grid at R = 128 takes 80 chunks, at R = 16 ten."""
+    geom = make_geometry(cfg200, n_elements)
+    offsets = np.linspace(-0.5, 0.5, 101)
+    if call == "heatmap":
+        def run():
+            return location_heatmap(geom, cfg200, 1, half_span_m=0.5, step_m=0.01).values
+    else:
+        cells = np.stack(np.meshgrid(3.0 + offsets, offsets, indexing="ij"), axis=-1)
+        cells = cells.reshape(-1, 2)
+        phases = near_optimal_phases(geom, cfg200)
+        f = subcarrier_frequencies(cfg200)[0]
+
+        def run():
+            return near_gain_row(geom, cfg200, f, cells, phases)
+
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.size == offsets.size**2
+    assert peak - out.nbytes <= 24 * KERNEL_CHUNK + 24 * (KERNEL_CHUNK // n_elements) + 32 * 1024
 
 
 def test_heatmap_memory_beyond_its_output_does_not_grow_with_the_grid(cfg200):

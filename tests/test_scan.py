@@ -228,7 +228,7 @@ class TestLocationHeatmap:
 
     # R = 16 gives 1,024-cell chunks of about ten x rows, R = 128 on 101 x 101
     # gives 128-cell chunks that split x rows, and 5 x 5 at R = 16 is one chunk
-    # under SERIES_MIN_EVALS, which takes the complex exp
+    # of 400 evaluations, whose phasors come from the same sine series
     @pytest.mark.parametrize("use_dam", [False, True], ids=["phase_only", "dam"])
     @pytest.mark.parametrize(
         "n_elements,half_span_m,step_m", [(16, 0.5, 0.01), (128, 0.5, 0.01), (16, 0.01, 0.005)]
