@@ -20,13 +20,13 @@ from .model import (
     Design,
     GainMap,
     IrsArray,
-    NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
     fraunhofer_distance,
     subcarrier_frequencies,
 )
 from .nearfield import (
+    NearFieldGeometry,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,

@@ -1,4 +1,4 @@
-"""Shared domain types, the subcarrier grid, geometry, and the gain kernel.
+"""Shared domain types, the subcarrier grid, the gain kernel and the design rules.
 
 Conventions used throughout the package:
 
@@ -21,7 +21,8 @@ and delay profile tau toward a target at frequency f is
 where P_r is the frequency-flat path phase of element r. In the far field
 P_r = pi (r-1) nu: the half-wavelength progression, so the spacing ``d`` is
 ignored there (the ROADMAP item on honouring ``d``). In the near field
-P_r = (2 pi / lambda_c)(d_r^BR + d_r^target), from the exact distances.
+P_r = (2 pi / lambda_c)(d_r^BR + d_r^target), from the exact distances (its
+path factor and its accuracy: :mod:`irsbeam.nearfield`).
 
 The kernel splits each term into an element weight and a path factor:
 w_r = exp(j [phi_r - 2 pi f tau_r]) depends only on the design and the
@@ -34,20 +35,6 @@ on their uniform nu grid, an arc of the unit circle, chirp-z transforms
 evaluate the polynomial in O((N + R) log(N + R)) per frequency instead of
 O(N R) (see ``farfield._far_grid_gain``). Both routes meet the Dirichlet
 closed form, and each other, within 1e-9.
-
-In the near field the path factor forms the turns t = s d_r of each leg,
-with s = (1 + f/f_c) f_c / c in turns per meter, and subtracts their
-nearest integers (exact steps), so that the phase 2 pi t lies within [-pi, pi]
-instead of at some 10^4 rad. The BS leg d_r^BR, the same for every target, is
-reduced on its own and added to the target leg's turns, so the summed distance
-d_r^BR + d_r^target is never rounded. The distances are
-sqrt((x - x_r)^2 + (y - y_0)^2). numpy's complex exp has no SIMD loop for
-float64, so the phasor exp(-j 2 pi t) is built from ufuncs that have one: the
-sine of theta = -2 pi t / 2^5 from its Taylor series to theta^9, the cosine as
-sqrt(1 - sin^2), and five complex squarings of cos + j sin, all inside the
-chunk buffer. Its phasors lie within 2^8 u (u = 2^-53) of the complex exp's.
-Against a long-double oracle from raw coordinates, a near gain errs by at
-most R times 8 ulp of 2 pi s L_max, L_max the longest BS-element-target path.
 
 One design rule per remedy serves both regimes, in the path turns
 t_r = P_r / 2 pi at the design point. The phase-only design cancels the path
@@ -64,7 +51,7 @@ oracle, near ones within 8 ulp of their largest unreduced phase.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -136,111 +123,6 @@ class IrsArray:
     def half_wavelength(cls, cfg: WidebandConfig, n_elements: int) -> "IrsArray":
         """Default construction: spacing of half the carrier wavelength."""
         return cls(n_elements=n_elements, spacing_m=cfg.wavelength_m / 2.0)
-
-
-@dataclass(frozen=True)
-class NearFieldGeometry:
-    """BS, user and IRS element coordinates for the near-field (spherical) model.
-
-    Element r (1-based) sits at ``(x_origin + (r-1) * spacing, y_origin)``.
-    Construction rejects a BS or user coincident with any element, and keeps
-    the element x-coordinates and the element-to-BS and element-to-user
-    distances (each of length R).
-    """
-
-    bs_xy: tuple[float, float]
-    user_xy: tuple[float, float]
-    irs_origin_xy: tuple[float, float]
-    array: IrsArray
-    element_x: np.ndarray = field(init=False, repr=False, compare=False)
-    bs_distances: np.ndarray = field(init=False, repr=False, compare=False)
-    user_distances: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("bs_xy", "user_xy", "irs_origin_xy"):
-            px, py = getattr(self, name)
-            object.__setattr__(self, name, (float(px), float(py)))
-        x = self.irs_origin_xy[0] + np.arange(self.array.n_elements) * self.array.spacing_m
-        object.__setattr__(self, "element_x", _readonly(x))
-        for label, point in (("BS", self.bs_xy), ("user", self.user_xy)):
-            try:
-                distances = self.element_distances(point)
-            except ValueError as exc:
-                raise ValueError(f"{label} {exc}") from None
-            object.__setattr__(self, f"{label.lower()}_distances", _readonly(distances))
-
-    def element_distances(self, points_xy) -> np.ndarray:
-        """Euclidean distance from every element to each point.
-
-        ``points_xy`` is one ``[x, y]`` point, giving shape (R,), or an (N, 2)
-        array of points, giving (N, R). Raises on a point that is not finite,
-        coincides with an element, or is so far away that its squared
-        distance overflows. The distance is the sqrt of the summed squared
-        offsets, so below about 1e-154 m it loses precision to underflow in
-        the squares, and below about 1e-162 m it reads 0: such a point counts
-        as coincident. The points are taken KERNEL_CHUNK evaluations at a time,
-        so beyond its result the call holds one chunk's scratch.
-        """
-        points = np.asarray(points_xy, dtype=np.float64)
-        flat = points.reshape(-1, 2)
-        d = np.empty((len(flat), self.array.n_elements))
-        n = max(1, KERNEL_CHUNK // self.array.n_elements)
-        scratch = np.empty(min(n, len(flat)) * self.array.n_elements)
-        for lo in range(0, len(flat), n):
-            chunk = d[lo : lo + n]
-            self._cell_distances(flat[lo : lo + n, 0], None, flat[lo : lo + n, 1],
-                                 chunk, scratch[: chunk.size])
-        return d.reshape(points.shape[:-1] + (self.array.n_elements,))
-
-    def _cell_distances(self, row_x, row_cells, cell_y, d, scratch) -> None:
-        """Write the distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to
-        each cell into ``d``, shape (cells, R). Row k holds ``row_cells[k]`` consecutive
-        cells at x = ``row_x[k]`` (one cell each if None), and cell c lies at
-        y = ``cell_y[c]``. ``scratch`` is a flat float array of at least ``d.size``
-        values, or of twice that with ``row_cells``. Every operand broadcast over the
-        elements or the cells is first copied into it: a ufunc allocates an iterator
-        buffer of up to 64 KiB for each broadcast operand, and np.copyto none.
-
-        The squared x offsets are formed once per row, and the range checks run
-        on them and on the cells' (y - y_0)^2, not on the distances. The largest
-        of each, summed, bounds every squared distance; only when that bound is
-        inf or NaN, or a cell lies on the array's line, are the cells checked one
-        by one. (x - x_r)^2 is largest at an end of the array, so a cell's squared
-        distance overflows exactly when that value plus its (y - y_0)^2 is inf; it
-        coincides with an element exactly when its least (x - x_r)^2 and its
-        (y - y_0)^2 are both 0. The ValueError names the first bad cell and the
-        first of those faults, after non-finite coordinates, that it has.
-        """
-        n_rows, n_elements = row_x.size, self.element_x.size
-        dx2 = d if row_cells is None else scratch[: n_rows * n_elements].reshape(n_rows, -1)
-        element_x = scratch[scratch.size - dx2.size :].reshape(dx2.shape)
-        np.copyto(dx2, row_x[:, None])
-        np.copyto(element_x, self.element_x)
-        with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
-            np.subtract(dx2, element_x, out=dx2)
-            np.square(dx2, out=dx2)
-            dy2 = np.square(cell_y - self.irs_origin_xy[1])
-            row = None if row_cells is None else np.repeat(np.arange(n_rows), row_cells)
-            if row is not None:  # each row's squared offsets spread over its cells
-                np.take(dx2, row, axis=0, out=d, mode="clip")
-            bound = dx2.max(initial=0.0) + dy2.max(initial=0.0)
-            if not (bound < np.inf and dy2.min(initial=1.0) > 0.0):  # also true on NaN
-                x = row_x if row is None else row_x[row]
-                far = np.maximum(d[:, 0], d[:, -1]) + dy2
-                faults = (
-                    (~(np.isfinite(x) & np.isfinite(cell_y)), "is not finite"),
-                    ((d.min(axis=1) == 0.0) & (dy2 == 0.0), "coincides with an IRS element"),
-                    (~(far < np.inf), "is so far away that its squared distance overflows"),
-                )
-                bad = np.logical_or.reduce([cells for cells, _ in faults])
-                if bad.any():
-                    c = int(np.argmax(bad))
-                    reason = next(reason for cells, reason in faults if cells[c])
-                    raise ValueError(f"point {(float(x[c]), float(cell_y[c]))} {reason}")
-        cell_dy2 = scratch[: d.size].reshape(d.shape)
-        np.copyto(cell_dy2, dy2[:, None])
-        d += cell_dy2
-        np.sqrt(d, out=d)
 
 
 def _checked_profile(values, kind: str) -> np.ndarray:
@@ -343,6 +225,8 @@ class GainMap:
 
     Values are gains divided by the element count R, so the analytic peak is
     1; construction rejects NaN and values below 0 or above 1 (plus rounding slack).
+    It keeps a read-only array as it is and a read-only copy of a writable
+    one, so the caller's own stays writable.
     """
 
     axes: tuple[Axis, ...]
@@ -358,7 +242,9 @@ class GainMap:
         if not (values <= 1.0 + NORMALIZED_GAIN_SLACK).all():
             raise ValueError("normalized gain values must not exceed 1")
         object.__setattr__(self, "axes", tuple(self.axes))
-        object.__setattr__(self, "values", _readonly(values))
+        if values.flags.writeable:
+            values = _readonly(values.copy())
+        object.__setattr__(self, "values", values)
 
     def argmax_cell(self) -> tuple[int, ...]:
         """Index of the maximum value; ties break to the lowest row-major index."""

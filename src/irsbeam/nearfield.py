@@ -1,16 +1,27 @@
-"""Near-field (spherical wavefront) beam gain, focusing phases, and the DAM
-co-design with exact band-wide refocusing.
+"""Near-field (spherical wavefront) geometry, beam gain, focusing phases, and
+the DAM co-design with exact band-wide refocusing.
 
 The gain uses the package's one phase convention (see :mod:`irsbeam.model`)
-with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). Distances
-are computed in double precision straight from coordinates; no Fresnel or
-Taylor approximation is ever substituted. A heatmap is evaluated from its two
-axes (:func:`_near_grid_gain`), with no list of its cells: each kernel chunk
-squares the x offsets of only its few x rows, and its range checks run on
-those rows and on its cells, not on the distances. The path factor, shared
-by point lists and grids, reduces the path phase to one turn and builds its
-phasor from a sine series, a square-root cosine and five complex squarings
-(accuracy in :mod:`irsbeam.model`).
+with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). One routine,
+:meth:`NearFieldGeometry._cell_distances`, computes every distance
+sqrt((x - x_r)^2 + (y - y_0)^2) in double precision straight from coordinates,
+for the geometry's BS and user legs and for each kernel chunk; no Fresnel or
+Taylor approximation is ever substituted. It takes its cells in rows that
+share an x: a point list is rows of one cell each, and a heatmap is evaluated
+from its two axes (:func:`_near_grid_gain`), with no list of its cells. Each
+chunk squares the x offsets of only its rows, and its range checks run on
+those rows and on its cells, not on the distances.
+
+The path factor forms the turns t = s d_r of each leg, with
+s = (1 + f/f_c) f_c / c in turns per meter, and subtracts their nearest
+integers (exact steps), so that the phase 2 pi t lies within [-pi, pi] instead
+of at some 10^4 rad. The BS leg d_r^BR, the same for every target, is reduced
+on its own and added to the target leg's turns, so the summed distance
+d_r^BR + d_r^target is never rounded. The phasor exp(-j 2 pi t) comes from a
+sine series, a square-root cosine and five complex squarings (:func:`_phasors`),
+within 2^8 u (u = 2^-53) of the complex exp's. Against a long-double oracle
+from raw coordinates, a near gain errs by at most R times 8 ulp of
+2 pi s L_max, L_max the longest BS-element-target path.
 
 Beside the kernel's complex chunk buffer, a call allocates one float chunk
 buffer, 8 B per evaluation: a chunk's distances are written into it, and its
@@ -19,12 +30,14 @@ numpy allocates an iterator buffer of up to 64 KiB for each broadcast operand:
 a broadcast factor is first spread with ``np.copyto``, which allocates none,
 into the float halves of the complex buffer, free until the phasors are
 written. Per chunk only arrays of a few values per target are made: the
-targets' (y - y_0)^2 and, for a grid, its cells' y and the x row of each cell.
+targets' (y - y_0)^2, the row of each cell and, for a grid, its cells' y.
 Both designs apply the design rules of :mod:`irsbeam.model` to the path turns
 (d_r^BR + d_r^RU) f_c / c.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +46,102 @@ from .model import (
     TWO_PI,
     DelayProfile,
     Design,
-    NearFieldGeometry,
+    IrsArray,
     PhaseProfile,
     WidebandConfig,
     _array_gain,
     _dam_design,
     _phase_only_phases,
+    _readonly,
 )
+
+
+@dataclass(frozen=True)
+class NearFieldGeometry:
+    """BS, user and IRS element coordinates for the near-field (spherical) model.
+
+    Element r (1-based) sits at ``(x_origin + (r-1) * spacing, y_origin)``.
+    Construction rejects a BS or user that is not finite, coincides with an
+    element or lies so far away that its squared distance overflows, and
+    keeps the element x-coordinates and the element-to-BS and element-to-user
+    distances (each of length R).
+    """
+
+    bs_xy: tuple[float, float]
+    user_xy: tuple[float, float]
+    irs_origin_xy: tuple[float, float]
+    array: IrsArray
+    element_x: np.ndarray = field(init=False, repr=False, compare=False)
+    bs_distances: np.ndarray = field(init=False, repr=False, compare=False)
+    user_distances: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("bs_xy", "user_xy", "irs_origin_xy"):
+            px, py = getattr(self, name)
+            object.__setattr__(self, name, (float(px), float(py)))
+        x = self.irs_origin_xy[0] + np.arange(self.array.n_elements) * self.array.spacing_m
+        object.__setattr__(self, "element_x", _readonly(x))
+        for label, (px, py) in (("BS", self.bs_xy), ("user", self.user_xy)):
+            d = np.empty((1, self.array.n_elements))
+            try:
+                self._cell_distances(np.array([px]), 1, np.array([py]), d, np.empty(2 * d.size))
+            except ValueError as exc:
+                raise ValueError(f"{label} {exc}") from None
+            object.__setattr__(self, f"{label.lower()}_distances", _readonly(d[0]))
+
+    def _cell_distances(self, row_x, row_cells, cell_y, d, scratch) -> None:
+        """Write the distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to
+        each cell into ``d``, shape (cells, R). Row k holds ``row_cells[k]``
+        consecutive cells at x = ``row_x[k]`` (``row_cells`` may be one count for
+        every row: 1 for a point list), and cell c lies at y = ``cell_y[c]``.
+        ``scratch`` is a flat float array of at least twice ``d.size`` values. Every
+        operand broadcast over the elements or the cells is first copied into it: a
+        ufunc allocates an iterator buffer of up to 64 KiB for each broadcast
+        operand, and np.copyto none.
+
+        The squared x offsets are formed once per row, and the range checks run
+        on them and on the cells' (y - y_0)^2, not on the distances. The largest
+        of each, summed, bounds every squared distance; only when that bound is
+        inf or NaN, or a cell lies on the array's line, are the cells checked one
+        by one. (x - x_r)^2 is largest at an end of the array, so a cell's squared
+        distance overflows exactly when that value plus its (y - y_0)^2 is inf; it
+        coincides with an element exactly when its least (x - x_r)^2 and its
+        (y - y_0)^2 are both 0. The distance is the sqrt of the summed squares, so
+        below about 1e-154 m it loses precision to underflow in them, and below
+        about 1e-162 m it reads 0: such a cell counts as coincident. The ValueError
+        names the first bad cell and the first of those faults, after non-finite
+        coordinates, that it has.
+        """
+        n_rows, n_elements = row_x.size, self.element_x.size
+        dx2 = scratch[: n_rows * n_elements].reshape(n_rows, -1)
+        element_x = scratch[scratch.size - dx2.size :].reshape(dx2.shape)
+        np.copyto(dx2, row_x[:, None])
+        np.copyto(element_x, self.element_x)
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
+            np.subtract(dx2, element_x, out=dx2)
+            np.square(dx2, out=dx2)
+            dy2 = np.square(cell_y - self.irs_origin_xy[1])
+            row = np.repeat(np.arange(n_rows), row_cells)
+            np.take(dx2, row, axis=0, out=d, mode="clip")  # each row's squares over its cells
+            bound = dx2.max(initial=0.0) + dy2.max(initial=0.0)
+            if not (bound < np.inf and dy2.min(initial=1.0) > 0.0):  # also true on NaN
+                x = row_x[row]
+                far = np.maximum(d[:, 0], d[:, -1]) + dy2
+                faults = (
+                    (~(np.isfinite(x) & np.isfinite(cell_y)), "is not finite"),
+                    ((d.min(axis=1) == 0.0) & (dy2 == 0.0), "coincides with an IRS element"),
+                    (~(far < np.inf), "is so far away that its squared distance overflows"),
+                )
+                bad = np.logical_or.reduce([cells for cells, _ in faults])
+                if bad.any():
+                    c = int(np.argmax(bad))
+                    reason = next(reason for cells, reason in faults if cells[c])
+                    raise ValueError(f"point {(float(x[c]), float(cell_y[c]))} {reason}")
+        cell_dy2 = scratch[: d.size].reshape(d.shape)
+        np.copyto(cell_dy2, dy2[:, None])
+        d += cell_dy2
+        np.sqrt(d, out=d)
+
 
 # sin(k t) / t = k - k^3 t^2 / 3! + ... + k^9 t^8 / 9! with k = -2 pi / 2^5,
 # highest power first; the next term is below 2e-18 of the sum for |t| <= 1/2
@@ -133,7 +235,7 @@ def near_gain_row(
     array of them; the result has shape ``np.shape(freq_hz) + (N,)`` and is
     evaluated in bounded-memory chunks. Every point must be finite: the
     frequencies and profiles are checked first, then each chunk's points as
-    their distances are formed (as by ``geom.element_distances``), so a bad
+    their distances are formed (as at the geometry's construction), so a bad
     point is reported after the chunks before it have been evaluated.
     """
     targets_xy = np.asarray(targets_xy, dtype=np.float64)
@@ -141,7 +243,7 @@ def near_gain_row(
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
 
     def distances(lo, hi, d, scratch):
-        geom._cell_distances(targets_xy[lo:hi, 0], None, targets_xy[lo:hi, 1], d, scratch)
+        geom._cell_distances(targets_xy[lo:hi, 0], 1, targets_xy[lo:hi, 1], d, scratch)
 
     return _near_gain(geom, cfg, freq_hz, len(targets_xy), distances, phases, delays)
 

@@ -5,9 +5,10 @@ squint metrics.
 All sweeps emit normalized gain (divided by the element count R, so the
 analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Each sweep
 is one call into the chunked gain kernel, whose fresh output it normalizes in
-place, so memory beyond the output stays bounded: a heatmap passes the kernel
-its two axes, never a list of its cells. Subcarrier selectors are 1-based;
-index 0 means the exact carrier frequency and -1 the highest subcarrier.
+place and hands to the map read-only, so that the map keeps it uncopied. So
+memory beyond the output stays bounded: a heatmap passes the kernel its two
+axes, never a list of its cells. Subcarrier selectors are 1-based; index 0
+means the exact carrier frequency and -1 the highest subcarrier.
 """
 
 from __future__ import annotations
@@ -21,13 +22,19 @@ from .model import (
     Design,
     GainMap,
     IrsArray,
-    NearFieldGeometry,
     PhaseProfile,
     WidebandConfig,
+    _readonly,
     resolve_subcarrier,
     subcarrier_frequencies,
 )
-from .nearfield import _near_grid_gain, near_dam_design, near_gain_row, near_optimal_phases
+from .nearfield import (
+    NearFieldGeometry,
+    _near_grid_gain,
+    near_dam_design,
+    near_gain_row,
+    near_optimal_phases,
+)
 
 DEFAULT_NU_GRID = (-1.0, 1.0, 1e-3)
 DEFAULT_HEATMAP_HALF_SPAN_M = 0.5
@@ -72,7 +79,7 @@ def _per_subcarrier(gains: np.ndarray, n_elements: int) -> GainMap:
     """The (M, 1) kernel ``gains`` at one target as a normalized map over subcarriers 1..M."""
     return GainMap(
         axes=(Axis("subcarrier", "index", np.arange(1, len(gains) + 1)),),
-        values=gains[:, 0] / n_elements,
+        values=_readonly(gains[:, 0] / n_elements),
     )
 
 
@@ -115,7 +122,7 @@ def angle_sweep(
             Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),
             Axis("direction", "sin(chi) - sin(psi)", nu),
         ),
-        values=values,
+        values=_readonly(values),
     )
 
 
@@ -170,7 +177,7 @@ def location_heatmap(
     values /= geom.array.n_elements
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),
-        values=values,
+        values=_readonly(values),
     )
 
 

@@ -25,13 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    IrsArray,
-    NearFieldGeometry,
-    WidebandConfig,
-    fraunhofer_distance,
-    resolve_subcarrier,
-)
+from .model import IrsArray, WidebandConfig, fraunhofer_distance, resolve_subcarrier
+from .nearfield import NearFieldGeometry
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
     DEFAULT_HEATMAP_STEP_M,

@@ -24,6 +24,7 @@ from irsbeam import (
 )
 from irsbeam.model import resolve_subcarrier
 from irsbeam.scan import _subcarrier_rows, angle_sweep, location_heatmap, make_design
+from oracles import hypot_distances
 
 
 class TestWidebandConfig:
@@ -150,17 +151,15 @@ class TestNearSteeringVector:
     observed through the gain."""
 
     def test_reference_distances(self, geometry64):
-        d_bs = geometry64.element_distances(geometry64.bs_xy)
-        d_user = geometry64.element_distances(geometry64.user_xy)
-        assert d_bs[0] == np.sqrt(2.0)
-        assert d_user[0] == np.sqrt(5.0)
-        np.testing.assert_array_equal(geometry64.bs_distances, d_bs)
-        np.testing.assert_array_equal(geometry64.user_distances, d_user)
+        # within 4 u of the np.hypot oracle (u = 2**-53; see its docstring)
+        for leg, point in ((geometry64.bs_distances, geometry64.bs_xy),
+                           (geometry64.user_distances, geometry64.user_xy)):
+            np.testing.assert_allclose(leg, hypot_distances(geometry64, point), rtol=2**-51)
 
     def test_unit_modulus(self, geometry64, cfg200):
         # phases conjugate to the path phase at (f, target) co-phase all R elements
         f, target = 197e9, (2.0, 0.5)
-        path = geometry64.bs_distances + geometry64.element_distances(target)
+        path = geometry64.bs_distances + hypot_distances(geometry64, target)
         k = 2 * np.pi / cfg200.wavelength_m
         phases = PhaseProfile(k * (1 + f / cfg200.carrier_hz) * path)
         g = near_gain_row(geometry64, cfg200, f, [target], phases)[0]
@@ -185,8 +184,8 @@ class TestNearSteeringVector:
         f = 199e9
         target = (2.5, -0.25)
         phases = PhaseProfile(np.random.default_rng(17).uniform(0, 2 * np.pi, 64))
-        d_bs = geometry64.element_distances(geometry64.bs_xy)
-        d_t = geometry64.element_distances(target)
+        d_bs = hypot_distances(geometry64, geometry64.bs_xy)
+        d_t = hypot_distances(geometry64, target)
         expected = np.abs(np.sum(np.exp(1j * (
             phases.phases
             - (2 * np.pi / cfg200.wavelength_m) * (1 + f / cfg200.carrier_hz) * (d_bs + d_t)
@@ -208,12 +207,11 @@ class TestNearSteeringVector:
 
 
 def test_empty_target_lists_give_empty_results(array64, geometry64, cfg200):
-    """No targets give no distances and no gains, in the shapes a non-empty
-    list would have, from both kernels."""
+    """No targets give no gains, in the shapes a non-empty list would have,
+    from both kernels."""
     none = np.empty((0, 2))
     phases = PhaseProfile(np.zeros(64))
     freqs = subcarrier_frequencies(cfg200)[:3]
-    assert geometry64.element_distances(none).shape == (0, 64)
     assert near_gain_row(geometry64, cfg200, 200e9, none, phases).shape == (0,)
     assert near_gain_row(geometry64, cfg200, freqs, none, phases).shape == (3, 0)
     assert far_beam_gain_profile(array64, cfg200, freqs, [], phases).shape == (3, 0)
@@ -254,6 +252,16 @@ class TestProfilesAndTypes:
         points[0] = 1.0
         assert axis.points[0] == 0.0
 
+    def test_gain_map_leaves_its_input_writable(self):
+        axes = (Axis("i", "", np.arange(3)),)
+        values = np.zeros(3)
+        gain_map = GainMap(axes, values)
+        values[0] = 1.0
+        assert gain_map.values[0] == 0.0
+        # a read-only array, as every sweep hands over its fresh output, is kept uncopied
+        values.flags.writeable = False
+        assert GainMap(axes, values).values is values
+
     def test_delay_profile_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             DelayProfile(np.array([1e-12, -1e-12]))
@@ -269,8 +277,9 @@ class TestProfilesAndTypes:
         x = geometry64.element_x
         assert x.shape == (64,) and x[0] == 1.0
         np.testing.assert_allclose(np.diff(x), geometry64.array.spacing_m, rtol=1e-12)
-        # every element lies on the line y = 1, so a point on it is |dx| away
-        np.testing.assert_array_equal(geometry64.element_distances((0.0, 1.0)), x)
+        # every element lies on the line y = 1, so a BS on it is |dx| away
+        geom = NearFieldGeometry((0.0, 1.0), geometry64.user_xy, (1.0, 1.0), geometry64.array)
+        np.testing.assert_array_equal(geom.bs_distances, x)
 
     def test_design_summary_is_read_only_copy(self):
         source = {"design_direction": 0.5}

@@ -23,6 +23,7 @@ from irsbeam.model import KERNEL_CHUNK, TWO_PI
 from irsbeam.nearfield import _phasors
 from conftest import longdouble_only, make_geometry
 from oracles import (
+    hypot_distances,
     near_dam_delays_longdouble,
     near_focus_phases_longdouble,
     near_gain_brute_force,
@@ -31,25 +32,27 @@ from oracles import (
 
 
 class TestElementDistances:
+    """The element distances of the geometry's BS and user legs and of the
+    kernel's targets, which one routine computes."""
+
     def test_reference_values(self, geometry64):
-        assert geometry64.element_distances((0.0, 0.0))[0] == np.sqrt(2.0)
-        assert geometry64.element_distances((3.0, 0.0))[0] == np.sqrt(5.0)
-        rows = geometry64.element_distances([(0.0, 0.0), (3.0, 0.0)])
-        assert rows.shape == (2, 64)
-        np.testing.assert_array_equal(rows[1], geometry64.element_distances((3.0, 0.0)))
+        assert geometry64.bs_distances[0] == np.sqrt(2.0)
+        assert geometry64.user_distances[0] == np.sqrt(5.0)
 
-    def test_coincident_point_rejected(self, geometry64):
+    def test_coincident_point_rejected(self, geometry64, cfg200):
+        phases = PhaseProfile(np.zeros(64))
         with pytest.raises(ValueError, match=r"point \(1.0, 1.0\) coincides"):
-            geometry64.element_distances((1.0, 1.0))
+            near_gain_row(geometry64, cfg200, 200e9, [(1.0, 1.0)], phases)
         with pytest.raises(ValueError, match=r"point \(1.0, 1.0\) coincides"):
-            geometry64.element_distances([(3.0, 0.0), (1.0, 1.0)])
+            near_gain_row(geometry64, cfg200, 200e9, [(3.0, 0.0), (1.0, 1.0)], phases)
 
-    def test_overflowing_target_rejected(self, geometry64):
+    def test_overflowing_target_rejected(self, geometry64, cfg200):
         # 1e200 is finite, but its square is not
+        phases = PhaseProfile(np.zeros(64))
         with pytest.raises(ValueError, match=r"point \(1e\+200, 0.0\) is so far away"):
-            geometry64.element_distances([(3.0, 0.0), (1e200, 0.0)])
+            near_gain_row(geometry64, cfg200, 200e9, [(3.0, 0.0), (1e200, 0.0)], phases)
         with pytest.raises(ValueError, match=r"point \(3.0, -1e\+160\) is so far away"):
-            geometry64.element_distances((3.0, -1e160))
+            near_gain_row(geometry64, cfg200, 200e9, [(3.0, -1e160)], phases)
 
     def test_overflowing_endpoint_rejected(self, cfg200):
         for endpoints in ({"bs_xy": (0.0, 1e200)}, {"user_xy": (-1e200, 0.0)}):
@@ -61,8 +64,9 @@ class TestElementDistances:
                 )
 
     def test_monotone_for_point_left_of_array_on_its_line(self, geometry64):
-        d = geometry64.element_distances((0.0, 1.0))
-        assert np.all(np.diff(d) > 0)
+        geom = NearFieldGeometry((0.0, 1.0), geometry64.user_xy, geometry64.irs_origin_xy,
+                                 geometry64.array)
+        assert np.all(np.diff(geom.bs_distances) > 0)
 
 
 class TestBeamGain:
@@ -155,7 +159,7 @@ def test_row_within_a_few_ulp_of_longdouble_oracle(cfg200, n_elements):
     rng = np.random.default_rng(n_elements)
     points = np.array(geom.user_xy) + rng.uniform(-0.5, 0.5, (3000, 2))
     freqs = subcarrier_frequencies(cfg200)[[0, -1]]
-    longest = (geom.bs_distances + geom.element_distances(points)).max()
+    longest = (geom.bs_distances + hypot_distances(geom, points)).max()
     scale = (2 * np.pi / cfg200.wavelength_m) * (1.0 + freqs.max() / cfg200.carrier_hz)
     bound = n_elements * 8 * np.spacing(scale * longest)
     # the fig6 design at both band edges in one call, the fig8 design at the lowest
@@ -187,30 +191,6 @@ def test_phasors_within_squared_start_error_of_exp():
     _phasors(turns.copy(), got)
     assert np.abs(got - want).max() <= 2**5 * 8 * u
     assert got[2] == 1.0
-
-
-def test_multi_chunk_row_allocates_no_more_than_the_exp_route(cfg200):
-    """A 101 x 101 heatmap call at R = 128 (80 chunks) peaks, above its start and
-    its output, at 530,740 bytes under tracemalloc with numpy 2.4 when every
-    chunk takes the complex exp of a separate turns array: the complex chunk
-    buffer, the distances, the turns, and numpy's broadcast buffers while the
-    distances are formed. The series phasors run in the chunk buffer and the
-    turns in the distances, so the peak must not grow."""
-    geom = make_geometry(cfg200, 128)
-    offsets = np.linspace(-0.5, 0.5, 101)
-    cells = np.stack(np.meshgrid(3.0 + offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
-    phases = near_optimal_phases(geom, cfg200)
-    f = subcarrier_frequencies(cfg200)[0]
-    near_gain_row(geom, cfg200, f, cells, phases)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = near_gain_row(geom, cfg200, f, cells, phases)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes <= 530_740
 
 
 @pytest.mark.parametrize("n_elements,call", [
@@ -385,8 +365,8 @@ class TestDamDesign:
 
     def test_delays_follow_path_length_profile(self, geometry64, cfg200):
         design = near_dam_design(geometry64, cfg200)
-        d_bs = geometry64.element_distances(geometry64.bs_xy)
-        d_user = geometry64.element_distances(geometry64.user_xy)
+        d_bs = hypot_distances(geometry64, geometry64.bs_xy)
+        d_user = hypot_distances(geometry64, geometry64.user_xy)
         sums = d_bs + d_user
         np.testing.assert_allclose(
             design.delays.delays, (sums.max() - sums) / SPEED_OF_LIGHT, rtol=1e-9, atol=1e-24

@@ -92,7 +92,7 @@ class TestScenarioLoading:
         s = load_scenario(write_scenario(tmp_path, MINIMAL_NEAR))
         assert s.regime == "near"
         geom = s.make_geometry()
-        assert geom.element_distances((0.0, 0.0))[0] == np.sqrt(2.0)
+        assert geom.bs_distances[0] == np.sqrt(2.0)
 
     def test_near_geometry_built_once_at_load(self, monkeypatch):
         built = []
