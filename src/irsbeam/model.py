@@ -308,11 +308,18 @@ def _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays) -> tuple
 
 
 def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -> np.ndarray:
-    """w[f, r] = exp(j [phi_r - 2 pi f tau_r]); shape (F, R), or (1, R) without delays."""
-    exponent = phases.phases[None, :]
+    """w[f, r] = exp(j [phi_r - 2 pi f tau_r]); shape (F, R), or (1, R) without delays.
+
+    The exponent is formed in the imaginary half of the zeroed result and the exp
+    taken in place, so beside the result a call holds no (F, R) temporary: only
+    the iterator buffer of a broadcast ufunc, up to 64 KiB, one at a time.
+    """
+    weights = np.zeros((1 if delays is None else freqs.size, len(phases)), np.complex128)
+    exponent = weights.imag
     if delays is not None:
-        exponent = exponent - TWO_PI * freqs[:, None] * delays.delays
-    weights = np.multiply(1j, exponent)  # exp in place: one (F, R) complex array per block
+        np.copyto(exponent, delays.delays)
+        exponent *= (TWO_PI * freqs)[:, None]
+    np.subtract(phases.phases, exponent, out=exponent)
     return np.exp(weights, out=weights)
 
 

@@ -6,11 +6,12 @@ with the path phase P_r = (2 pi / lambda_c)(d_r^BR + d_r^target). One routine,
 :meth:`NearFieldGeometry._cell_distances`, computes every distance
 sqrt((x - x_r)^2 + (y - y_0)^2) in double precision straight from coordinates,
 for the geometry's BS and user legs and for each kernel chunk; no Fresnel or
-Taylor approximation is ever substituted. It takes its cells in rows that
-share an x: a point list is rows of one cell each, and a heatmap is evaluated
-from its two axes (:func:`_near_grid_gain`), with no list of its cells. Each
-chunk squares the x offsets of only its rows, and its range checks run on
-those rows and on its cells, not on the distances.
+Taylor approximation is ever substituted. Every target set reaches the kernel
+:func:`_near_gain` in one form: rows at x = ``xs`` of ``per_row`` cells each,
+cell c at y = ``ys[c % len(ys)]``. A point list is ``(x, y, 1)``, and a heatmap
+is ``(xs, ys, len(ys))``, evaluated from its two axes with no list of its
+cells. Each chunk squares the x offsets of only its rows, and its range checks
+run on those rows and on its cells, not on the distances.
 
 The path factor forms the turns t = s d_r of each leg, with
 s = (1 + f/f_c) f_c / c in turns per meter, and subtracts their nearest
@@ -29,8 +30,8 @@ turns overwrite them there. Every ufunc runs on operands of one shape, since
 numpy allocates an iterator buffer of up to 64 KiB for each broadcast operand:
 a broadcast factor is first spread with ``np.copyto``, which allocates none,
 into the float halves of the complex buffer, free until the phasors are
-written. Per chunk only arrays of a few values per target are made: the
-targets' (y - y_0)^2, the row of each cell and, for a grid, its cells' y.
+written. Per chunk only arrays of a few values per target are made: each
+cell's row index and y, and its (y - y_0)^2.
 Both designs apply the design rules of :mod:`irsbeam.model` to the path turns
 (d_r^BR + d_r^RU) f_c / c.
 """
@@ -84,16 +85,16 @@ class NearFieldGeometry:
         for label, (px, py) in (("BS", self.bs_xy), ("user", self.user_xy)):
             d = np.empty((1, self.array.n_elements))
             try:
-                self._cell_distances(np.array([px]), 1, np.array([py]), d, np.empty(2 * d.size))
+                self._cell_distances(np.array([px]), [0], np.array([py]), d, np.empty(2 * d.size))
             except ValueError as exc:
                 raise ValueError(f"{label} {exc}") from None
             object.__setattr__(self, f"{label.lower()}_distances", _readonly(d[0]))
 
-    def _cell_distances(self, row_x, row_cells, cell_y, d, scratch) -> None:
+    def _cell_distances(self, row_x, row, cell_y, d, scratch) -> None:
         """Write the distances sqrt((x - x_r)^2 + (y - y_0)^2) from every element to
-        each cell into ``d``, shape (cells, R). Row k holds ``row_cells[k]``
-        consecutive cells at x = ``row_x[k]`` (``row_cells`` may be one count for
-        every row: 1 for a point list), and cell c lies at y = ``cell_y[c]``.
+        each cell into ``d``, shape (cells, R). Cell c lies at
+        (``row_x[row[c]]``, ``cell_y[c]``): ``row`` holds each cell's index into
+        the rows, by which the rows' squared x offsets are spread over their cells.
         ``scratch`` is a flat float array of at least twice ``d.size`` values. Every
         operand broadcast over the elements or the cells is first copied into it: a
         ufunc allocates an iterator buffer of up to 64 KiB for each broadcast
@@ -112,8 +113,7 @@ class NearFieldGeometry:
         names the first bad cell and the first of those faults, after non-finite
         coordinates, that it has.
         """
-        n_rows, n_elements = row_x.size, self.element_x.size
-        dx2 = scratch[: n_rows * n_elements].reshape(n_rows, -1)
+        dx2 = scratch[: row_x.size * self.element_x.size].reshape(row_x.size, -1)
         element_x = scratch[scratch.size - dx2.size :].reshape(dx2.shape)
         np.copyto(dx2, row_x[:, None])
         np.copyto(element_x, self.element_x)
@@ -121,7 +121,6 @@ class NearFieldGeometry:
             np.subtract(dx2, element_x, out=dx2)
             np.square(dx2, out=dx2)
             dy2 = np.square(cell_y - self.irs_origin_xy[1])
-            row = np.repeat(np.arange(n_rows), row_cells)
             np.take(dx2, row, axis=0, out=d, mode="clip")  # each row's squares over its cells
             bound = dx2.max(initial=0.0) + dy2.max(initial=0.0)
             if not (bound < np.inf and dy2.min(initial=1.0) > 0.0):  # also true on NaN
@@ -177,11 +176,15 @@ def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
         np.square(out, out=out)
 
 
-def _near_gain(geom, cfg, freq_hz, n_targets, distances, phases, delays) -> np.ndarray:
-    """The near-field beam gain at ``n_targets`` targets, shape ``np.shape(freq_hz) +
-    (n_targets,)``, where ``distances(lo, hi, d, scratch)`` writes the (hi - lo, R)
-    element distances of targets lo..hi-1 into ``d``, one kernel chunk at a time,
-    given a flat float ``scratch`` of at least twice d's size."""
+def _near_gain(geom, cfg, freq_hz, xs, ys, per_row, phases, delays) -> np.ndarray:
+    """The near-field beam gain at the targets of rows at x = ``xs``, ``per_row``
+    cells each, cell c at y = ``ys[c % len(ys)]``, taken in order; shape
+    ``np.shape(freq_hz) + (len(xs) * per_row,)``. A point list is
+    ``(x, y, 1)``, a grid ``(xs, ys, len(ys))``. A chunk's distances square the x
+    offsets of only its rows (the first and the last may be partial), and its
+    range checks run on those rows and its cells; a bad target is reported after
+    the chunks before it have been evaluated."""
+    n_targets = len(xs) * per_row
     turns_buffer = None
 
     def exps(lo, hi, scale, out):
@@ -195,7 +198,12 @@ def _near_gain(geom, cfg, freq_hz, n_targets, distances, phases, delays) -> np.n
         turns = turns_buffer[: out.size].reshape(out.shape)
         scratch = out.reshape(-1).view(np.float64)
         lower, upper = scratch.reshape(2, *out.shape)
-        distances(lo, hi, turns[0], scratch)
+        row = np.arange(lo, hi)
+        cell_y = ys[row % len(ys)]
+        row //= per_row
+        row_x = xs[row[0] : row[-1] + 1]
+        row -= row[0]
+        geom._cell_distances(row_x, row, cell_y, turns[0], scratch)
         if scale.size == 1:  # in place by the scalar: cheaper than spreading s and d
             np.multiply(turns, scale[0], out=turns)
         else:
@@ -242,31 +250,7 @@ def near_gain_row(
     if targets_xy.ndim != 2 or targets_xy.shape[1] != 2:
         raise ValueError(f"targets_xy must have shape (N, 2), got {targets_xy.shape}")
 
-    def distances(lo, hi, d, scratch):
-        geom._cell_distances(targets_xy[lo:hi, 0], 1, targets_xy[lo:hi, 1], d, scratch)
-
-    return _near_gain(geom, cfg, freq_hz, len(targets_xy), distances, phases, delays)
-
-
-def _near_grid_gain(geom, cfg, freq_hz, xs, ys, phases, delays=None) -> np.ndarray:
-    """:func:`near_gain_row` at the cells (x_i, y_j) of the grid ``xs`` x ``ys``,
-    taken row-major, with no list of the cells; shape ``np.shape(freq_hz) +
-    (len(xs), len(ys))``. A chunk's distances square the x offsets of only its
-    few x rows (the first and the last may be partial), and its range checks run
-    on those rows and its cells; a bad cell is reported after the chunks before
-    it have been evaluated.
-    """
-    ny = len(ys)
-
-    def distances(lo, hi, d, scratch):
-        i0, i1 = lo // ny, -(-hi // ny)
-        rows = [ys[max(lo - i * ny, 0) : min(hi - i * ny, ny)] for i in range(i0, i1)]
-        geom._cell_distances(
-            xs[i0:i1], [len(r) for r in rows], np.concatenate(rows), d, scratch
-        )
-
-    gains = _near_gain(geom, cfg, freq_hz, len(xs) * ny, distances, phases, delays)
-    return gains.reshape(gains.shape[:-1] + (len(xs), ny))
+    return _near_gain(geom, cfg, freq_hz, targets_xy[:, 0], targets_xy[:, 1], 1, phases, delays)
 
 
 def _design_turns(geom: NearFieldGeometry, cfg: WidebandConfig) -> np.ndarray:

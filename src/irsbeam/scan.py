@@ -30,7 +30,7 @@ from .model import (
 )
 from .nearfield import (
     NearFieldGeometry,
-    _near_grid_gain,
+    _near_gain,
     near_dam_design,
     near_gain_row,
     near_optimal_phases,
@@ -173,7 +173,8 @@ def location_heatmap(
     ux, uy = geom.user_xy
     xs = ux + grid_points(-half_span_m, half_span_m, step_m)
     ys = uy + grid_points(-half_span_m, half_span_m, step_m)
-    values = _near_grid_gain(geom, cfg, freq, xs, ys, design.phases, design.delays)
+    values = _near_gain(geom, cfg, freq, xs, ys, ys.size, design.phases, design.delays)
+    values = values.reshape(xs.size, ys.size)  # a view: the kernel's output is contiguous
     values /= geom.array.n_elements
     return GainMap(
         axes=(Axis("x", "m", xs), Axis("y", "m", ys)),

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from irsbeam import (
     near_optimal_phases,
     subcarrier_frequencies,
 )
-from irsbeam.model import resolve_subcarrier
+from irsbeam.model import KERNEL_CHUNK, TWO_PI, _element_weights, resolve_subcarrier
 from irsbeam.scan import _subcarrier_rows, angle_sweep, location_heatmap, make_design
 from oracles import hypot_distances
 
@@ -173,12 +174,19 @@ class TestNearSteeringVector:
         with pytest.raises(ValueError, match=r"point \(.*\) coincides"):
             near_gain_row(geometry64, cfg200, 200e9, [(2.0, 0.0), on_element], phases)
         # a heatmap cell on the first element, which the grid's rows and cells
-        # must catch without a list of the cells
-        geom = NearFieldGeometry((0.0, 0.0), (1.0, 1.5), (1.0, 1.0), geometry64.array)
+        # must catch without a list of the cells: at R = 64 in the one chunk, and
+        # at R = 2048, where a chunk holds 8 of the 5 x 5 cells, as flat cell 18
+        # in the third chunk, which starts in the middle of x row 3, so that its
+        # x must come from the chunk's row offset
+        assert KERNEL_CHUNK // 2048 == 8
         message = r"point \(1.0, 1.0\) coincides with an IRS element"
-        for use_dam in (False, True):
-            with pytest.raises(ValueError, match=message):
-                location_heatmap(geom, cfg200, use_dam=use_dam, half_span_m=0.5, step_m=0.25)
+        for user_xy, array in (
+            ((1.0, 1.5), geometry64.array), ((0.75, 0.75), IrsArray.half_wavelength(cfg200, 2048))
+        ):
+            geom = NearFieldGeometry((0.0, 0.0), user_xy, (1.0, 1.0), array)
+            for use_dam in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    location_heatmap(geom, cfg200, use_dam=use_dam, half_span_m=0.5, step_m=0.25)
 
     def test_matches_longhand_phase(self, geometry64, cfg200):
         f = 199e9
@@ -215,6 +223,30 @@ def test_empty_target_lists_give_empty_results(array64, geometry64, cfg200):
     assert near_gain_row(geometry64, cfg200, 200e9, none, phases).shape == (0,)
     assert near_gain_row(geometry64, cfg200, freqs, none, phases).shape == (3, 0)
     assert far_beam_gain_profile(array64, cfg200, freqs, [], phases).shape == (3, 0)
+
+
+def test_dam_weights_hold_at_most_one_float_block_beyond_their_output():
+    """A DAM block's weights exp(j [phi_r - 2 pi f tau_r]) are formed in their own
+    complex output: beyond it a call holds at most one (F, R) float array (here
+    128 KiB, more than numpy's 64 KiB iterator buffer), plus 4 KiB for the
+    interpreter's objects. An exponent built from broadcast products holds two."""
+    rng = np.random.default_rng(7)
+    n_freqs, n_elements = 16, 1024
+    freqs = rng.uniform(197e9, 203e9, n_freqs)
+    phases = PhaseProfile(rng.uniform(0.0, TWO_PI, n_elements))
+    delays = DelayProfile(rng.uniform(0.0, 1e-10, n_elements))
+    _element_weights(freqs, phases, delays)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        weights = _element_weights(freqs, phases, delays)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    want = np.exp(1j * (phases.phases - TWO_PI * freqs[:, None] * delays.delays))
+    np.testing.assert_allclose(weights, want, rtol=0, atol=1e-12)
+    assert peak - weights.nbytes <= 8 * n_freqs * n_elements + 4096
 
 
 class TestProfilesAndTypes:

@@ -6,8 +6,14 @@ in a temporary directory and prints one line per run:
     <preset>/<subcommand>.<format> <sha256 of the artifact> <max |numeric value|>
 
 A run that exits non-zero prints ``exit<code>:<sha256 of its stderr>`` and
-``-`` in place of the digest and the maximum. Two versions of the package give
-the same artifacts exactly when their outputs ``diff`` clean:
+``-`` in place of the digest and the maximum. After them come the fixed
+library outputs that no preset reaches, one line each in the same form, keyed
+``library/<R>/<output>``: the geometry's BS and user legs, a point list off the
+carrier, multi-frequency DAM rows, the empty point list, and, for R = 128 and
+2048, a heatmap whose chunks split its x rows. Their digest covers the shape,
+the dtype and the bytes. They use only the package's public API, so one copy of
+this script digests any version. Two versions of the package give the same
+artifacts and library outputs exactly when their outputs ``diff`` clean:
 
     PYTHONPATH=src python tools/artifact_digests.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/artifact_digests.py > old.txt
@@ -112,6 +118,43 @@ def digest_lines(keep: Path | None) -> list[str]:
     return lines
 
 
+def _array_line(key: str, values) -> str:
+    import numpy as np
+
+    values = np.ascontiguousarray(values)
+    sha = hashlib.sha256(f"{values.shape} {values.dtype}\n".encode() + values.tobytes())
+    peak = float(np.abs(values).max()) if values.size else 0.0
+    return f"{key} {sha.hexdigest()} {peak!r}"
+
+
+def library_lines() -> list[str]:
+    import numpy as np
+
+    import irsbeam as ib
+
+    cfg = ib.WidebandConfig(carrier_hz=200e9, bandwidth_hz=6e9, n_subcarriers=16)
+    n = np.arange(777)  # targets off the array: y <= 0.8, the elements at y = 1
+    points = np.column_stack((2.0 + 0.003 * n, -1.0 + 0.05 * (n % 37)))
+    lines = []
+    for n_elements in (1, 7, 128, 2048):
+        geom = ib.NearFieldGeometry((0.0, 0.0), (3.0, 0.0), (1.0, 1.0),
+                                    ib.IrsArray.half_wavelength(cfg, n_elements))
+        phases, dam = ib.near_optimal_phases(geom, cfg), ib.near_dam_design(geom, cfg)
+        outputs = {
+            "legs": np.stack((geom.bs_distances, geom.user_distances)),
+            "points_199GHz": ib.near_gain_row(geom, cfg, 199e9, points, phases),
+            "dam_rows": ib.near_gain_row(geom, cfg, ib.subcarrier_frequencies(cfg), points[:50],
+                                         dam.phases, dam.delays),
+            "empty": ib.near_gain_row(geom, cfg, 199e9, np.empty((0, 2)), phases),
+        }
+        if n_elements >= 128:
+            for use_dam in (False, True):
+                gm = ib.location_heatmap(geom, cfg, 1, use_dam, half_span_m=0.05, step_m=0.005)
+                outputs[f"heatmap_{'dam' if use_dam else 'phase'}"] = gm.values
+        lines += [_array_line(f"library/{n_elements}/{k}", v) for k, v in outputs.items()]
+    return lines
+
+
 def compare_lines(old: Path, new: Path) -> list[str]:
     lines = []
     for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
@@ -156,7 +199,7 @@ def main(argv=None) -> int:
             return 2
         if args.keep is not None:
             args.keep.mkdir(parents=True, exist_ok=True)
-        lines = digest_lines(args.keep)
+        lines = digest_lines(args.keep) + library_lines()
     print("\n".join(lines))
     return 0
 
