@@ -18,6 +18,7 @@ import numpy as np
 from .model import (
     KERNEL_CHUNK,
     TWO_PI,
+    UFUNC_BUFFER,
     DelayProfile,
     Design,
     IrsArray,
@@ -112,20 +113,21 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
     # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
     rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)[:, None]
     out = np.empty((freqs.size, n))
-    for f0 in range(0, freqs.size, n_freqs):
-        f = slice(f0, f0 + n_freqs)
-        chirp = np.fft.fft(_chirp(rates[f], k2), fft_len)
-        weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates[f], 4 * q * q)
-        for lo in range(0, n, size):
-            centre = start + step * (lo + (size - 1) / 2)
-            spectrum = np.fft.fft(weights * np.exp(-1j * scale[f, None] * centre * q), fft_len)
-            spectrum *= chirp
-            conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
-            hi = min(lo + size, n)
-            for i in range(len(conv)):  # row by row: |.| of the 2-D slice buffers a copy
-                np.abs(conv[i, : hi - lo], out=out[f0 + i, lo:hi])
-            del spectrum, conv  # free before the next block's FFTs are formed
-        del chirp
+    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
+        np.setbufsize(UFUNC_BUFFER)
+        for f0 in range(0, freqs.size, n_freqs):
+            f = slice(f0, f0 + n_freqs)
+            chirp = np.fft.fft(_chirp(rates[f], k2), fft_len)
+            weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates[f], 4 * q * q)
+            for lo in range(0, n, size):
+                centre = start + step * (lo + (size - 1) / 2)
+                spectrum = np.fft.fft(weights * np.exp(-1j * scale[f, None] * centre * q), fft_len)
+                spectrum *= chirp
+                conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
+                hi = min(lo + size, n)
+                np.abs(conv[:, : hi - lo], out=out[f, lo:hi])
+                del spectrum, conv  # free before the next block's FFTs are formed
+            del chirp
     return out
 
 

@@ -294,6 +294,11 @@ def checked_frequencies(freq_hz) -> np.ndarray:
 KERNEL_CHUNK = 2**14
 """Element evaluations per chunk of the gain kernel; bounds its temporaries."""
 
+UFUNC_BUFFER = 256
+"""numpy's ufunc buffer size, in items, inside both gain kernels (numpy's own is 8192):
+a ufunc allocates an iterator buffer of that many items for each broadcast or
+strided operand, so that a kernel writes its broadcasts as broadcasts."""
+
 
 def _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays) -> tuple:
     """Frequencies, checked and flattened, and their scales s = wavenumber (1 + f/f_c);
@@ -312,7 +317,8 @@ def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -
 
     The exponent is formed in the imaginary half of the zeroed result and the exp
     taken in place, so beside the result a call holds no (F, R) temporary: only
-    the iterator buffer of a broadcast ufunc, up to 64 KiB, one at a time.
+    the iterator buffer of a broadcast ufunc, one at a time, of numpy's buffer
+    size: inside the kernels ``UFUNC_BUFFER`` items, elsewhere up to 64 KiB.
     """
     weights = np.zeros((1 if delays is None else freqs.size, len(phases)), np.complex128)
     exponent = weights.imag
@@ -350,20 +356,25 @@ def _array_gain(
     chunk is often handed back to the OS on release and page-faulted in again
     by the next chunk. Per block of frequencies it holds the weights, per chunk
     the matmul product and its modulus, a few values per target. Anything more
-    is the path factor's.
+    is the path factor's. The chunks run with numpy's ufunc buffer size set to
+    ``UFUNC_BUFFER`` items, which leaving ``np.errstate`` restores: each
+    broadcast or strided ufunc operand then takes an iterator buffer of 2 or
+    4 KiB, not 64 or 128, so a path factor writes its broadcasts as broadcasts.
     """
     freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays)
     out = np.empty((freqs.size, n_targets))
     n_rows = max(1, min(n_targets, KERNEL_CHUNK // n_elements))
     n_freqs = max(1, KERNEL_CHUNK // (n_rows * n_elements))
     buf = np.empty(min(n_freqs, freqs.size) * n_rows * n_elements, np.complex128)
-    for f0 in range(0, freqs.size, n_freqs):
-        f = slice(f0, f0 + n_freqs)
-        s = scale[f]
-        weights = _element_weights(freqs[f], phases, delays)[..., None]
-        for lo in range(0, n_targets, n_rows):
-            hi = min(lo + n_rows, n_targets)
-            factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)
-            path_factor(lo, hi, s, factor)
-            out[f, lo:hi] = np.abs(np.matmul(factor, weights)[..., 0])
+    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
+        np.setbufsize(UFUNC_BUFFER)
+        for f0 in range(0, freqs.size, n_freqs):
+            f = slice(f0, f0 + n_freqs)
+            s = scale[f]
+            weights = _element_weights(freqs[f], phases, delays)[..., None]
+            for lo in range(0, n_targets, n_rows):
+                hi = min(lo + n_rows, n_targets)
+                factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)
+                path_factor(lo, hi, s, factor)
+                out[f, lo:hi] = np.abs(np.matmul(factor, weights)[..., 0])
     return out

@@ -25,13 +25,13 @@ from raw coordinates, a near gain errs by at most R times 8 ulp of
 2 pi s L_max, L_max the longest BS-element-target path.
 
 Beside the kernel's complex chunk buffer, a call allocates one float chunk
-buffer, 8 B per evaluation: a chunk's distances are written into it, and its
-turns overwrite them there. Every ufunc runs on operands of one shape, since
-numpy allocates an iterator buffer of up to 64 KiB for each broadcast operand:
-a broadcast factor is first spread with ``np.copyto``, which allocates none,
-into the float halves of the complex buffer, free until the phasors are
-written. Per chunk only arrays of a few values per target are made: each
-cell's row index and y, and its (y - y_0)^2.
+buffer, 8 B per evaluation, for the turns. A chunk's distances and the squared
+x offsets of its rows are formed in the two float halves of the complex
+buffer, free until the phasors are written, and the turns are broadcast from
+them. The kernel caps numpy's iterator buffer of each broadcast operand at
+``UFUNC_BUFFER`` items (:func:`irsbeam.model._array_gain`). Per chunk only
+arrays of a few values per target are made: each cell's row index and y, and
+its (y - y_0)^2.
 Both designs apply the design rules of :mod:`irsbeam.model` to the path turns
 (d_r^BR + d_r^RU) f_c / c.
 """
@@ -85,7 +85,7 @@ class NearFieldGeometry:
         for label, (px, py) in (("BS", self.bs_xy), ("user", self.user_xy)):
             d = np.empty((1, self.array.n_elements))
             try:
-                self._cell_distances(np.array([px]), [0], np.array([py]), d, np.empty(2 * d.size))
+                self._cell_distances(np.array([px]), [0], np.array([py]), d, np.empty(d.size))
             except ValueError as exc:
                 raise ValueError(f"{label} {exc}") from None
             object.__setattr__(self, f"{label.lower()}_distances", _readonly(d[0]))
@@ -95,10 +95,8 @@ class NearFieldGeometry:
         each cell into ``d``, shape (cells, R). Cell c lies at
         (``row_x[row[c]]``, ``cell_y[c]``): ``row`` holds each cell's index into
         the rows, by which the rows' squared x offsets are spread over their cells.
-        ``scratch`` is a flat float array of at least twice ``d.size`` values. Every
-        operand broadcast over the elements or the cells is first copied into it: a
-        ufunc allocates an iterator buffer of up to 64 KiB for each broadcast
-        operand, and np.copyto none.
+        ``scratch`` is a flat float array of at least ``len(row_x)`` times R values,
+        which holds those squared offsets.
 
         The squared x offsets are formed once per row, and the range checks run
         on them and on the cells' (y - y_0)^2, not on the distances. The largest
@@ -114,11 +112,8 @@ class NearFieldGeometry:
         coordinates, that it has.
         """
         dx2 = scratch[: row_x.size * self.element_x.size].reshape(row_x.size, -1)
-        element_x = scratch[scratch.size - dx2.size :].reshape(dx2.shape)
-        np.copyto(dx2, row_x[:, None])
-        np.copyto(element_x, self.element_x)
         with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
-            np.subtract(dx2, element_x, out=dx2)
+            np.subtract(row_x[:, None], self.element_x, out=dx2)
             np.square(dx2, out=dx2)
             dy2 = np.square(cell_y - self.irs_origin_xy[1])
             np.take(dx2, row, axis=0, out=d, mode="clip")  # each row's squares over its cells
@@ -136,9 +131,7 @@ class NearFieldGeometry:
                     c = int(np.argmax(bad))
                     reason = next(reason for cells, reason in faults if cells[c])
                     raise ValueError(f"point {(float(x[c]), float(cell_y[c]))} {reason}")
-        cell_dy2 = scratch[: d.size].reshape(d.shape)
-        np.copyto(cell_dy2, dy2[:, None])
-        d += cell_dy2
+        d += dy2[:, None]
         np.sqrt(d, out=d)
 
 
@@ -190,8 +183,8 @@ def _near_gain(geom, cfg, freq_hz, xs, ys, per_row, phases, delays) -> np.ndarra
     def exps(lo, hi, scale, out):
         # turns s d less their nearest integer, so that the phasor's argument
         # lies within half a turn; the BS leg's turns are reduced on their own,
-        # so d^BR + d^target is never rounded. Each broadcast factor is spread
-        # into a float half of out first (module docstring).
+        # so d^BR + d^target is never rounded. The distances and their squared
+        # x offsets are formed in the two float halves of out.
         nonlocal turns_buffer
         if turns_buffer is None:  # the first chunk is the largest
             turns_buffer = np.empty(out.size)
@@ -203,21 +196,14 @@ def _near_gain(geom, cfg, freq_hz, xs, ys, per_row, phases, delays) -> np.ndarra
         row //= per_row
         row_x = xs[row[0] : row[-1] + 1]
         row -= row[0]
-        geom._cell_distances(row_x, row, cell_y, turns[0], scratch)
-        if scale.size == 1:  # in place by the scalar: cheaper than spreading s and d
-            np.multiply(turns, scale[0], out=turns)
-        else:
-            np.copyto(lower, scale[:, None, None])
-            np.copyto(upper, turns[0])
-            np.multiply(lower, upper, out=turns)
-        # the BS leg's turns once per frequency, (F, 1, R), then spread over the targets
+        geom._cell_distances(row_x, row, cell_y, upper[0], scratch[: out.size])
+        np.multiply(scale[:, None, None], upper[0], out=turns)
+        # the BS leg's turns once per frequency, (F, 1, R), added over the targets;
+        # formed after the turns, since for one target they overlap upper[0]
         bs, whole = scratch[: 2 * scale.size * geom.array.n_elements].reshape(2, scale.size, 1, -1)
-        np.copyto(bs, geom.bs_distances)
-        np.copyto(whole, scale[:, None, None])
-        np.multiply(whole, bs, out=bs)
+        np.multiply(scale[:, None, None], geom.bs_distances, out=bs)
         bs -= np.rint(bs, out=whole)
-        np.copyto(upper, bs)
-        turns += upper
+        turns += bs
         turns -= np.rint(turns, out=lower)
         _phasors(turns, out)
 

@@ -288,6 +288,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
     n_elements = _require_count(raw, "R")
+    if "d" not in raw and not math.isfinite(config.wavelength_m):
+        raise ScenarioError(f"field 'f_c': the default 'd', half the carrier wavelength "
+                            f"c / f_c, is {config.wavelength_m / 2} m")
     array = (IrsArray(n_elements, _require_number(raw, "d", positive=True)) if "d" in raw
              else IrsArray.half_wavelength(config, n_elements))
 

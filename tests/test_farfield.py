@@ -290,7 +290,8 @@ class TestChirpZ:
         # pi (r-1) (1 + f/f_c) (nu0 - nu), as in the multi-chunk test above.
         # R = 64 over 2001 points: one grid block of FFT length 2160 (not 4096),
         # 3 frequencies per block, so 16 rows make 6 blocks, the last of one row;
-        # over 20,001 points: two grid blocks of length 10,125 (not 16,384)
+        # over 20,001 points: two grid blocks of length 10,125 (not 16,384).
+        # The sweep leaves the caller's numpy ufunc buffer size as it found it.
         assert _fft_length(2001 + 63) == 2160 and KERNEL_CHUNK // 2 // 2160 == 3
         assert 20001 > KERNEL_CHUNK - 63 and _fft_length(10001 + 63) == 10125
         for n_subcarriers, grid in ((16, (-1.0, 1.0, 1e-3)), (3, (-2.0, 2.0, 2e-4))):
@@ -298,7 +299,10 @@ class TestChirpZ:
             array = IrsArray.half_wavelength(cfg, 64)
             dam = far_dam_design(array, cfg, 0.3)
             rows = range(1, n_subcarriers + 1)
-            gm = angle_sweep(array, cfg, dam.phases, dam.delays, rows, grid)
+            with np.errstate():
+                np.setbufsize(4096)
+                gm = angle_sweep(array, cfg, dam.phases, dam.delays, rows, grid)
+                assert np.getbufsize() == 4096
             nu = gm.axes[1].points
             for f, row in zip(subcarrier_frequencies(cfg), 64 * gm.values):
                 scale = 1 + f / cfg.carrier_hz

@@ -177,16 +177,22 @@ class TestNearSteeringVector:
         # must catch without a list of the cells: at R = 64 in the one chunk, and
         # at R = 2048, where a chunk holds 8 of the 5 x 5 cells, as flat cell 18
         # in the third chunk, which starts in the middle of x row 3, so that its
-        # x must come from the chunk's row offset
+        # x must come from the chunk's row offset; the kernel leaves the caller's
+        # numpy ufunc buffer size as it found it, also when a chunk raises
         assert KERNEL_CHUNK // 2048 == 8
         message = r"point \(1.0, 1.0\) coincides with an IRS element"
-        for user_xy, array in (
-            ((1.0, 1.5), geometry64.array), ((0.75, 0.75), IrsArray.half_wavelength(cfg200, 2048))
-        ):
-            geom = NearFieldGeometry((0.0, 0.0), user_xy, (1.0, 1.0), array)
-            for use_dam in (False, True):
-                with pytest.raises(ValueError, match=message):
-                    location_heatmap(geom, cfg200, use_dam=use_dam, half_span_m=0.5, step_m=0.25)
+        with np.errstate():
+            np.setbufsize(4096)
+            for user_xy, array in (
+                ((1.0, 1.5), geometry64.array),
+                ((0.75, 0.75), IrsArray.half_wavelength(cfg200, 2048)),
+            ):
+                geom = NearFieldGeometry((0.0, 0.0), user_xy, (1.0, 1.0), array)
+                for use_dam in (False, True):
+                    with pytest.raises(ValueError, match=message):
+                        location_heatmap(geom, cfg200, use_dam=use_dam, half_span_m=0.5,
+                                         step_m=0.25)
+                    assert np.getbufsize() == 4096
 
     def test_matches_longhand_phase(self, geometry64, cfg200):
         f = 199e9

@@ -194,7 +194,7 @@ def test_phasors_within_squared_start_error_of_exp():
 
 
 @pytest.mark.parametrize("n_elements,call", [
-    (16, "heatmap"), (128, "heatmap"), (128, "point list"),
+    (16, "heatmap"), (128, "heatmap"), (128, "point list"), (128, "subcarrier row"),
 ])
 def test_near_call_holds_two_chunk_buffers_beyond_its_output(cfg200, n_elements, call):
     """Beyond its output, a near call allocates two buffers of at most
@@ -205,20 +205,27 @@ def test_near_call_holds_two_chunk_buffers_beyond_its_output(cfg200, n_elements,
     distances are formed, then the matmul product (16 B) and its modulus. 32 KiB
     covers the design, the weights, the axes and the interpreter's objects. So
     a single 64 KiB iterator buffer of a broadcast ufunc breaks the bound; a
-    101 x 101 grid at R = 128 takes 80 chunks, at R = 16 ten."""
+    101 x 101 grid at R = 128 takes 80 chunks, at R = 16 ten. The subcarrier
+    row, one target at all 128 subcarriers, takes one chunk of 128 frequencies,
+    whose turns are the distances broadcast over the frequencies."""
     geom = make_geometry(cfg200, n_elements)
     offsets = np.linspace(-0.5, 0.5, 101)
+    phases = near_optimal_phases(geom, cfg200)
     if call == "heatmap":
         def run():
             return location_heatmap(geom, cfg200, 1, half_span_m=0.5, step_m=0.01).values
-    else:
+    elif call == "point list":
         cells = np.stack(np.meshgrid(3.0 + offsets, offsets, indexing="ij"), axis=-1)
         cells = cells.reshape(-1, 2)
-        phases = near_optimal_phases(geom, cfg200)
         f = subcarrier_frequencies(cfg200)[0]
 
         def run():
             return near_gain_row(geom, cfg200, f, cells, phases)
+    else:
+        freqs = subcarrier_frequencies(cfg200)
+
+        def run():
+            return near_gain_row(geom, cfg200, freqs, [geom.user_xy], phases)
 
     run()
     tracemalloc.start()
@@ -229,7 +236,7 @@ def test_near_call_holds_two_chunk_buffers_beyond_its_output(cfg200, n_elements,
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert out.size == offsets.size**2
+    assert out.size == (cfg200.n_subcarriers if call == "subcarrier row" else offsets.size**2)
     assert peak - out.nbytes <= 24 * KERNEL_CHUNK + 24 * (KERNEL_CHUNK // n_elements) + 32 * 1024
 
 

@@ -191,6 +191,7 @@ class TestScenarioLoading:
             ({"sweep": {"subcarriers": [1, 999]}}, "sweep field 'subcarriers': index 999 outside"),
             ({"sweep": {"half_span_m": 0.1}}, "far-field scenario does not take 'half_span_m'"),
             ({"description": 7}, "field 'description' must be a string"),
+            ({"f_c": 1e-310, "B": 1e-311}, "'f_c'"),
         ],
     )
     def test_invalid_fields_rejected(self, tmp_path, capsys, patch, match):

@@ -10,10 +10,14 @@ A run that exits non-zero prints ``exit<code>:<sha256 of its stderr>`` and
 library outputs that no preset reaches, one line each in the same form, keyed
 ``library/<R>/<output>``: the geometry's BS and user legs, a point list off the
 carrier, multi-frequency DAM rows, the empty point list, and, for R = 128 and
-2048, a heatmap whose chunks split its x rows. Their digest covers the shape,
-the dtype and the bytes. They use only the package's public API, so one copy of
-this script digests any version. Two versions of the package give the same
-artifacts and library outputs exactly when their outputs ``diff`` clean:
+2048, a heatmap whose chunks split its x rows; and for R = 64 and 1024 and both
+designs, angle sweeps at all 16 subcarriers over 20,001 directions (two
+chirp-z blocks, FFTs one frequency at a time) and over 2,001 (FFTs on blocks
+of several frequencies), and a profile at 777 irregular directions. Their
+digest covers the shape, the dtype and the bytes. They use only the package's
+public API, so one copy of this script digests any version. Two versions of
+the package give the same artifacts and library outputs exactly when their
+outputs ``diff`` clean:
 
     PYTHONPATH=src python tools/artifact_digests.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/artifact_digests.py > old.txt
@@ -151,6 +155,21 @@ def library_lines() -> list[str]:
             for use_dam in (False, True):
                 gm = ib.location_heatmap(geom, cfg, 1, use_dam, half_span_m=0.05, step_m=0.005)
                 outputs[f"heatmap_{'dam' if use_dam else 'phase'}"] = gm.values
+        lines += [_array_line(f"library/{n_elements}/{k}", v) for k, v in outputs.items()]
+    rows = range(1, cfg.n_subcarriers + 1)
+    directions = 2.0 * np.sin(0.7 * np.arange(777))  # irregular, over [-2, 2]
+    for n_elements in (64, 1024):
+        array = ib.IrsArray.half_wavelength(cfg, n_elements)
+        dam = ib.far_dam_design(array, cfg, 0.3)
+        designs = {"phase": (ib.far_optimal_phases(array, 0.3), None),
+                   "dam": (dam.phases, dam.delays)}
+        outputs = {}
+        for name, (phases, delays) in designs.items():
+            for n_points, grid in ((20_001, (-2.0, 2.0, 2e-4)), (2001, (-1.0, 1.0, 1e-3))):
+                gm = ib.angle_sweep(array, cfg, phases, delays, rows, grid)
+                outputs[f"far_sweep_{n_points}_{name}"] = gm.values
+            outputs[f"far_profile_{name}"] = ib.far_beam_gain_profile(
+                array, cfg, ib.subcarrier_frequencies(cfg), directions, phases, delays)
         lines += [_array_line(f"library/{n_elements}/{k}", v) for k, v in outputs.items()]
     return lines
 
