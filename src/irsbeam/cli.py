@@ -2,7 +2,8 @@
 
 Parses a scenario JSON file, dispatches to the design or sweep operations,
 and serializes the result as CSV (one record per grid point, 17 significant
-digits, streamed row by row) or JSON ({axes, values, meta}) for plotting.
+digits, one ``%`` per block of at most 256 cells) or JSON ({axes, values,
+meta}) for plotting.
 JSON is streamed too, one array row at a time, in the bytes that
 ``json.dump(payload, indent=2)`` writes for the arrays as nested lists.
 Exit codes: 0 success, 2 scenario/subcommand problem, 3 I/O failure.
@@ -42,20 +43,22 @@ EXIT_IO = 3
 
 
 _CELL = "%.17g"  # 17 significant digits round-trip float64 exactly
+_BLOCK = 256  # most cells one `%` formats: the text in flight is one block, not a row
 
 
-def _write(path, out_format, header, rows, payload) -> None:
-    """Write ``rows`` of string cells under ``header`` as CSV, or ``payload`` as JSON.
+def _write(path, out_format, header, lines, payload) -> None:
+    """Write the CSV ``lines`` under ``header``, or ``payload`` as JSON.
 
-    CSV streams the rows to the file one by one, each ending in CRLF. JSON
-    streams ``payload`` one array row at a time (``_json_chunks``), in the
-    bytes ``json.dump(payload, indent=2)`` writes for the arrays as nested
-    lists, so no whole-map list of Python floats is built.
+    CSV writes the header and then each string of ``lines`` as it is: one or
+    more records, each ending in CRLF. JSON streams ``payload`` one array row
+    at a time (``_json_chunks``), in the bytes ``json.dump(payload, indent=2)``
+    writes for the arrays as nested lists, so no whole-map list of Python
+    floats is built.
     """
     if out_format == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            fh.writelines(lines)
     else:
         with open(path, "w") as fh:
             fh.writelines(_json_chunks(payload))
@@ -98,19 +101,41 @@ def _json_chunks(value, indent=""):
 
 
 def _named(values: dict):
-    """(name, value) rows of ``values``: the names as they are, the values as cells."""
-    return ((name, _CELL % value) for name, value in values.items())
+    """A CSV record per item of ``values``: the name as it is, the value as a cell."""
+    return (f"%s,{_CELL}\r\n" % item for item in values.items())
 
 
-def _grid_rows(gain_map: GainMap):
-    """One CSV row per grid point: each axis point formatted once, each value as read."""
-    points = itertools.product(*([_CELL % p for p in ax.points.tolist()] for ax in gain_map.axes))
-    for cells, value in zip(points, map(_CELL.__mod__, gain_map.values.flat)):
-        yield (*cells, value)
+def _grid_lines(gain_map: GainMap):
+    """The CSV records of the grid points, in blocks of at most ``_BLOCK`` cells of
+    one grid row. A record is a prefix, the head axes' cells each followed by a
+    comma (empty for a 1-D map), and a tail, the last axis's cell, a comma, the
+    value's ``%`` spec and CRLF (a map without axes has the one record of its
+    value). Each axis point is formatted once, and each block of values by one
+    ``%`` of its prefixed tails."""
+    head, last = gain_map.axes[:-1], gain_map.axes[-1:]
+    tails = [f"{_CELL % p},{_CELL}\r\n" for ax in last for p in ax.points.tolist()]
+    tails = tails or [_CELL + "\r\n"]
+    prefixes = itertools.product(*([_CELL % p + "," for p in ax.points.tolist()] for ax in head))
+    values = np.atleast_1d(gain_map.values)
+    for index, cells in zip(np.ndindex(values.shape[:-1]), prefixes):
+        prefix, row = "".join(cells), values[index]
+        for j in range(0, len(tails), _BLOCK):
+            template = prefix + prefix.join(tails[j : j + _BLOCK])
+            yield template % tuple(row[j : j + _BLOCK].tolist())
+
+
+def _table_lines(columns):
+    """The CSV records of equal-length numeric ``columns``, a cell of each, in
+    blocks of ``_BLOCK // len(columns)`` records, each formatted by one ``%``."""
+    step = _BLOCK // len(columns)
+    record = ",".join([_CELL] * len(columns)) + "\r\n"
+    for j in range(0, len(columns[0]), step):
+        block = np.column_stack([column[j : j + step] for column in columns])
+        yield (record * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_gain_map(path, gain_map: GainMap, out_format: str, meta: dict) -> None:
-    """Serialize a gain map: CSV streams one row per grid point, JSON keeps axes."""
+    """Serialize a gain map: CSV writes one record per grid point, JSON keeps axes."""
     axes = gain_map.axes
     payload = {
         "axes": [{"name": ax.name, "unit": ax.unit, "points": ax.points} for ax in axes],
@@ -118,7 +143,7 @@ def write_gain_map(path, gain_map: GainMap, out_format: str, meta: dict) -> None
         "meta": meta | {"normalized": True},
     }
     header = [ax.name for ax in axes] + ["value"]
-    _write(path, out_format, header, _grid_rows(gain_map), payload)
+    _write(path, out_format, header, _grid_lines(gain_map), payload)
 
 
 def read_gain_map_csv(path) -> tuple[list[str], np.ndarray]:
@@ -134,10 +159,10 @@ def _run_design(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     phases = design.phases.phases
     delays = design.delays.delays if design.delays is not None else np.zeros(phases.size)
     columns = (np.arange(1, phases.size + 1), phases, delays)
-    rows = zip(*(map(_CELL.__mod__, column.flat) for column in columns))
+    lines = _table_lines(columns)
     meta = {"regime": scenario.regime, "design": scenario.design} | design.summary
     payload = {"phases": phases, "delays": delays, "meta": meta}
-    _write(out_path, out_format, ["element", "phase_rad", "delay_s"], rows, payload)
+    _write(out_path, out_format, ["element", "phase_rad", "delay_s"], lines, payload)
     return {"elements": scenario.n_elements}
 
 

@@ -80,7 +80,8 @@ class NearFieldGeometry:
         for name in ("bs_xy", "user_xy", "irs_origin_xy"):
             px, py = getattr(self, name)
             object.__setattr__(self, name, (float(px), float(py)))
-        x = self.irs_origin_xy[0] + np.arange(self.array.n_elements) * self.array.spacing_m
+        with np.errstate(over="ignore"):  # an overflow is reported below, naming the point
+            x = self.irs_origin_xy[0] + np.arange(self.array.n_elements) * self.array.spacing_m
         object.__setattr__(self, "element_x", _readonly(x))
         for label, (px, py) in (("BS", self.bs_xy), ("user", self.user_xy)):
             d = np.empty((1, self.array.n_elements))

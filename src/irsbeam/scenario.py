@@ -287,10 +287,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
+    # c / f_c finite also bounds the largest DAM delay, a spread of at most R - 1
+    # turns over f_c (far) or a difference of finite distances over c (near)
+    if not math.isfinite(config.wavelength_m):
+        raise ScenarioError(f"field 'f_c': the carrier wavelength c / f_c is "
+                            f"{config.wavelength_m} m")
+    top = f_c + config.subcarrier_spacing_hz * ((m - 1) - (m - 1) / 2.0)  # f_M, as in the grid
+    if not math.isfinite(2.0 * math.pi * top):
+        raise ScenarioError(f"fields 'f_c' and 'B': 2 pi times the highest subcarrier "
+                            f"frequency, {top} Hz, overflows")
+
     n_elements = _require_count(raw, "R")
-    if "d" not in raw and not math.isfinite(config.wavelength_m):
-        raise ScenarioError(f"field 'f_c': the default 'd', half the carrier wavelength "
-                            f"c / f_c, is {config.wavelength_m / 2} m")
     array = (IrsArray(n_elements, _require_number(raw, "d", positive=True)) if "d" in raw
              else IrsArray.half_wavelength(config, n_elements))
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -31,7 +32,14 @@ from irsbeam import (
     squint_metrics,
     subcarrier_sweep_far,
 )
-from irsbeam.cli import _SUBCOMMANDS, build_parser, main, read_gain_map_csv, write_gain_map
+from irsbeam.cli import (
+    _BLOCK,
+    _SUBCOMMANDS,
+    build_parser,
+    main,
+    read_gain_map_csv,
+    write_gain_map,
+)
 from irsbeam.scan import DEFAULT_THRESHOLD
 from irsbeam.scenario import (
     _DESIGNS,
@@ -207,6 +215,8 @@ class TestScenarioLoading:
             # elements placed too far from the BS: the placing fields are named
             ({"d": 1e300}, r"field 'bs': .* overflows \(IRS elements from fields 'irs_origin', "),
             ({"irs_origin": [1e200, 0.0]}, r"\(IRS elements from fields 'irs_origin', 'R' and 'd'\)"),
+            # element x-coordinates that overflow: the named error, no numpy warning first
+            ({"d": 1.7e308}, r"field 'bs': .* overflows \(IRS elements from fields 'irs_origin', "),
         ],
     )
     def test_invalid_near_fields_rejected(self, tmp_path, capsys, patch, match):
@@ -236,6 +246,42 @@ class TestScenarioLoading:
         assert main(["metrics", "--scenario", str(path), "--out", str(out)]) == 2
         assert f"field '{field}' must be a finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,body,match",
+        [
+            # c / f_c overflows though 'd' is given: the artifact said wavelength_m,inf
+            ("fraunhofer", {"f_c": 1e-310, "B": 1e-310, "R": 3, "d": 1e9, "nu0": 0.5},
+             r"field 'f_c': the carrier wavelength c / f_c is inf m"),
+            ("design", {"f_c": 1e-310, "B": 1e-310, "R": 3, "d": 1e9, "nu0": 0.5,
+                        "design": "dam"}, r"field 'f_c': the carrier wavelength"),
+            # 2 pi f overflows in the DAM weights: numpy warned, then the gain was NaN
+            ("metrics", {"f_c": 1.7e308, "B": 1e-310, "R": 3, "M": 2, "nu0": 0.5,
+                         "design": "dam"},
+             r"fields 'f_c' and 'B': 2 pi times the highest subcarrier frequency, 1.7e\+308 Hz"),
+        ],
+    )
+    def test_band_quantities_checked_at_load(self, tmp_path, capsys, subcommand, body, match):
+        with pytest.raises(ScenarioError, match=match):
+            scenario_from_dict(body)
+        path, out = write_scenario(tmp_path, body), tmp_path / "out.csv"
+        assert main([subcommand, "--scenario", str(path), "--out", str(out)]) == 2
+        assert re.search(match, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_largest_dam_delay_finite_at_the_least_carrier(self):
+        # The loader's c / f_c check bounds every DAM delay: far, the delays
+        # spread over (R - 1) |nu0| / 2 < 2^20 turns, over an f_c of at least
+        # c / DBL_MAX, so under 6.3e305 s; near, over distances below 1.4e154 m, / c.
+        f_c = SPEED_OF_LIGHT / np.finfo(np.float64).max
+        while not math.isfinite(SPEED_OF_LIGHT / f_c):
+            f_c = float(np.nextafter(f_c, math.inf))
+        with pytest.raises(ScenarioError, match="'f_c'"):
+            scenario_from_dict({**MINIMAL_FAR, "f_c": float(np.nextafter(f_c, 0.0)), "B": f_c})
+        s = scenario_from_dict({"f_c": f_c, "B": f_c, "M": 1, "R": MAX_COUNT, "d": 1.0,
+                                "nu0": -2.0, "design": "dam", "sweep": {"nu_step": 1.0}})
+        delays = irsbeam.far_dam_design(s.array, s.config, s.link).delays.delays
+        assert math.isfinite(delays.max()) and delays.max() > 6e305
 
     def test_all_presets_load(self):
         for name in PRESET_NAMES:
@@ -818,6 +864,76 @@ class TestCsvArtifacts:
         expected = np.column_stack([np.ravel(c).astype(np.float64) for c in [*grid, values]])
         # bit for bit: -0.0, subnormals and the extremes must come back unchanged
         assert table.tobytes() == expected.tobytes()
+
+
+def _block_edge_map(n: int, head: int, integer: bool) -> GainMap:
+    """A 1-D (``head`` 0) or 2-D (``head`` up to 3) map whose last axis has ``n`` points, with the
+    extreme points and values at the writer's block edges (cells 0, 255, 256, n - 1)."""
+    rng = np.random.default_rng(n + head)
+    edges = sorted({i for i in (0, 255, 256, n - 1) if i < n})
+    if integer:
+        points = rng.integers(-(2**53), 2**53, n, endpoint=True)
+        points[edges] = [2**53, -(2**53), 0, 2**53 - 1][: len(edges)]
+    else:
+        points = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        points[edges] = [-0.0, 5e-324, 1e300, -1e300][: len(edges)]
+    axes = (Axis("x", "m", np.array([-0.0, 5e-324, 1e300][:head])),) if head else ()
+    values = rng.random((head, n) if head else (n,))
+    values[..., edges] = [0.0, -0.0, 5e-324, 1.0][: len(edges)]
+    return GainMap((*axes, Axis("y", "m", points)), values)
+
+
+BLOCK_EDGE_MAPS = [(n, head, integer) for n in (1, 255, 256, 257, 1000)
+                   for head in (0, 3) for integer in (False, True)]
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n,head,integer", BLOCK_EDGE_MAPS)
+    def test_bytes_match_per_cell_reference(self, tmp_path, n, head, integer):
+        # maps whose rows end inside, at and just past a block of cells
+        gm = _block_edge_map(n, head, integer)
+        out = tmp_path / "map.csv"
+        write_gain_map(out, gm, "csv", {})
+        payload = {"axes": [{"name": ax.name, "points": ax.points} for ax in gm.axes],
+                   "values": gm.values}
+        assert out.read_bytes() == _savetxt_reference("far-angle-sweep", payload)
+
+    def test_map_without_axes_is_its_one_value(self, tmp_path):
+        out = tmp_path / "map.csv"
+        write_gain_map(out, GainMap((), np.float64(0.5)), "csv", {})
+        assert out.read_bytes() == b"value\r\n0.5\r\n"
+
+    @pytest.mark.parametrize("shape", [(201, 201), (3, 2001)])
+    def test_memory_is_axis_strings_plus_one_block(self, tmp_path, shape):
+        # The bound, from CPython's object sizes (64-bit):
+        # - per axis point: its float from tolist() (24 B and an 8 B list slot),
+        #   its cell string (49 B and up to 24 + 8 chars: %.17g, then for the
+        #   last axis ",%.17g\r\n") and its list slot, with 8 B for list growth;
+        # - per cell of the block in flight (at most _BLOCK cells): the template's
+        #   chars (a prefix of 25 per head axis, a tail of 32) three times (the
+        #   joined tails, the prefixed template and the previous block's), the
+        #   record's chars (25 per axis, then 26 for the value and CRLF) twice
+        #   (the text and its encoding), the value as a float in a list and a
+        #   tuple (24 + 8 + 8 B) and its tail's slot in the block's slice (8 B);
+        # - 16 KiB for the file, its 8 KiB buffer and the writer's own objects.
+        # A row or the whole map formatted by one `%` holds far more: it fails.
+        axes = tuple(Axis(name, "m", np.linspace(-1.0, 1.0, size))
+                     for name, size in zip("xy", shape))
+        gm = GainMap(axes, np.random.default_rng(0).random(shape))
+        k = len(shape) - 1  # head axes
+        per_point = 24 + 8 + 49 + 32 + 8 + 8
+        per_cell = 3 * (25 * k + 32) + 2 * (25 * (k + 1) + 26) + (24 + 8 + 8) + 8
+        bound = per_point * sum(shape) + per_cell * _BLOCK + 16 * 1024
+        out = tmp_path / "map.csv"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_gain_map(out, gm, "csv", {})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestJsonArtifacts:

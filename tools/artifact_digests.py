@@ -14,7 +14,12 @@ carrier, multi-frequency DAM rows, the empty point list, and, for R = 128 and
 designs, angle sweeps at all 16 subcarriers over 20,001 directions (two
 chirp-z blocks, FFTs one frequency at a time) and over 2,001 (FFTs on blocks
 of several frequencies), and a profile at 777 irregular directions. Their
-digest covers the shape, the dtype and the bytes. They use only the package's
+digest covers the shape, the dtype and the bytes. Last come the CSV bytes of
+``write_gain_map`` for maps whose rows end at the edges of the writer's blocks
+of 256 cells, keyed ``library/csv/<shape>``: 1, 255, 256, 257 and 1,000
+points, 1-D and under a 3-point integer head axis, with -0.0, 5e-324 and
++-1e300 among the points and -0.0, 5e-324, 0 and 1 among the values at those
+edges. They use only the package's
 public API, so one copy of this script digests any version. Two versions of
 the package give the same artifacts and library outputs exactly when their
 outputs ``diff`` clean:
@@ -174,6 +179,30 @@ def library_lines() -> list[str]:
     return lines
 
 
+def csv_lines() -> list[str]:
+    import numpy as np
+
+    import irsbeam as ib
+
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "map.csv")
+        for n in (1, 255, 256, 257, 1000):
+            for head in ((), (ib.Axis("x", "m", [-(2**53), 0, 2**53]),)):
+                rng = np.random.default_rng(n)
+                edges = sorted({i for i in (0, 255, 256, n - 1) if i < n})
+                points = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+                points[edges] = [-0.0, 5e-324, 1e300, -1e300][: len(edges)]
+                values = rng.random((3, n) if head else n)
+                values[..., edges] = [0.0, -0.0, 5e-324, 1.0][: len(edges)]
+                gm = ib.GainMap((*head, ib.Axis("y", "m", points)), values)
+                ib.cli.write_gain_map(out, gm, "csv", {})
+                sha = hashlib.sha256(out.read_bytes()).hexdigest()
+                peak = max(abs(v) for v in _numbers(out)[0])
+                lines.append(f"library/csv/{'x'.join(map(str, values.shape))} {sha} {peak!r}")
+    return lines
+
+
 def compare_lines(old: Path, new: Path) -> list[str]:
     lines = []
     for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
@@ -218,7 +247,7 @@ def main(argv=None) -> int:
             return 2
         if args.keep is not None:
             args.keep.mkdir(parents=True, exist_ok=True)
-        lines = digest_lines(args.keep) + library_lines()
+        lines = digest_lines(args.keep) + library_lines() + csv_lines()
     print("\n".join(lines))
     return 0
 
