@@ -187,9 +187,15 @@ def _subcarrier_sweep(scenario: Scenario):
 
 def _heatmap(scenario: Scenario):
     sweep = scenario.sweep
-    gm = location_heatmap(scenario.link, scenario.config, subcarrier=sweep.subcarrier,
-                          use_dam=scenario.design == "dam", half_span_m=sweep.half_span_m,
-                          step_m=sweep.step_m)
+    try:
+        gm = location_heatmap(scenario.link, scenario.config, subcarrier=sweep.subcarrier,
+                              use_dam=scenario.design == "dam", half_span_m=sweep.half_span_m,
+                              step_m=sweep.step_m)
+    except ValueError as exc:  # the kernel's check of a cell: "point (x, y) coincides ..."
+        if not str(exc).startswith("point "):
+            raise
+        raise ScenarioError(f"fields 'user', 'half_span_m' and 'step_m' give a heatmap whose "
+                            f"{exc}") from exc
     cell = gm.argmax_cell()
     argmax_xy = [float(ax.points[i]) for ax, i in zip(gm.axes, cell)]
     return gm, {"subcarrier": sweep.subcarrier, "argmax_cell": list(cell),
@@ -218,7 +224,7 @@ def _run_metrics(subcommand, scenario: Scenario, out_path, out_format) -> dict:
 
 def _run_fraunhofer(subcommand, scenario: Scenario, out_path, out_format) -> dict:
     if scenario.n_elements == 1:
-        raise ScenarioError("fraunhofer needs R >= 2 (a single element has zero aperture)")
+        raise ScenarioError("fraunhofer needs field 'R' >= 2 (a single element has no aperture)")
     aperture = (scenario.n_elements - 1) * scenario.array.spacing_m
     boundary = fraunhofer_distance(aperture, scenario.config)
     payload = {"aperture_m": aperture, "fraunhofer_distance_m": boundary,

@@ -251,16 +251,17 @@ class GainMap:
         return tuple(int(i) for i in np.unravel_index(np.argmax(self.values), self.values.shape))
 
 
-def subcarrier_frequencies(cfg: WidebandConfig) -> np.ndarray:
-    """All M subcarrier frequencies, symmetric about the carrier.
+def _subcarrier_frequency(cfg: WidebandConfig, m):
+    """f_m = f_c + (B/M) * (m - 1 - (M-1)/2) of the 1-based index ``m``, a number or an
+    array; a Python int ``m`` gives a Python float, which overflows without a warning."""
+    return cfg.carrier_hz + cfg.subcarrier_spacing_hz * (m - 1 - (cfg.n_subcarriers - 1) / 2.0)
 
-    f_m = f_c + (B/M) * (m - 1 - (M-1)/2) for m = 1..M; the spacing is exactly
-    B/M and f_m + f_{M+1-m} = 2 f_c.
-    """
+
+def subcarrier_frequencies(cfg: WidebandConfig) -> np.ndarray:
+    """All M subcarrier frequencies f_m (``_subcarrier_frequency``), symmetric about
+    the carrier: the spacing is exactly B/M and f_m + f_{M+1-m} = 2 f_c."""
     m = np.arange(1, cfg.n_subcarriers + 1, dtype=np.float64)
-    return _readonly(
-        cfg.carrier_hz + cfg.subcarrier_spacing_hz * (m - 1 - (cfg.n_subcarriers - 1) / 2.0)
-    )
+    return _readonly(_subcarrier_frequency(cfg, m))
 
 
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
@@ -277,10 +278,15 @@ def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
 
 
 def fraunhofer_distance(aperture_m: float, cfg: WidebandConfig) -> float:
-    """Far-field boundary 2 D^2 / lambda_c for an aperture of size D."""
+    """Far-field boundary 2 D^2 / lambda_c for an aperture of size D; raises unless
+    D is finite and positive and the boundary is too, neither overflowing nor
+    underflowing to 0."""
     if not np.isfinite(aperture_m) or aperture_m <= 0:
         raise ValueError(f"aperture_m must be positive, got {aperture_m}")
-    return 2.0 * aperture_m * aperture_m / cfg.wavelength_m
+    distance = 2.0 * aperture_m * aperture_m / cfg.wavelength_m
+    if not 0.0 < distance < np.inf:
+        raise ValueError(f"the Fraunhofer distance of aperture_m {aperture_m} is {distance}")
+    return distance
 
 
 def checked_frequencies(freq_hz) -> np.ndarray:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import IrsArray, WidebandConfig, fraunhofer_distance, resolve_subcarrier
+from .model import (IrsArray, WidebandConfig, _subcarrier_frequency, fraunhofer_distance,
+                    resolve_subcarrier)
 from .nearfield import NearFieldGeometry
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
@@ -46,12 +47,6 @@ MAX_ELEMENT_EVALS = 2**30
 
 _FAR_KEYS = ("nu0", "chi", "psi")
 _NEAR_KEYS = ("bs", "user", "irs_origin")
-_TOP_KEYS = {"regime", "f_c", "B", "M", "R", "d", *_FAR_KEYS, *_NEAR_KEYS,
-             "design", "sweep", "threshold", "format", "description"}
-_SWEEP_KEYS = {  # each regime's sweep fields, in SweepSpec order
-    "far": ("nu_start", "nu_stop", "nu_step", "subcarriers"),
-    "near": ("half_span_m", "step_m", "subcarrier"),
-}
 _DESIGNS = ("phases_only", "dam")
 _FORMATS = ("csv", "json")
 
@@ -154,28 +149,59 @@ def _finite(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _require_number(raw: dict, key: str, positive: bool = False) -> float:
-    value = _finite(raw[key])
-    if value is None:
-        raise ScenarioError(f"field '{key}' must be a finite number, got {raw[key]!r}")
-    if positive and not value > 0:
-        raise ScenarioError(f"field '{key}' must be positive, got {value}")
-    return value
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_count(raw: dict, key: str, default: int | None = None) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_COUNT:
-        raise ScenarioError(f"field '{key}' must be an integer in 1..{MAX_COUNT}, got {value!r}")
-    return value
-
-
-def _require_point(raw: dict, key: str) -> tuple[float, float]:
-    value = raw[key]
+def _pair(value) -> tuple[float, float] | None:
     point = tuple(map(_finite, value)) if isinstance(value, (list, tuple)) else ()
-    if len(point) != 2 or None in point:
-        raise ScenarioError(f"field '{key}' must be a finite [x, y] pair, got {value!r}")
-    return point
+    return point if len(point) == 2 and None not in point else None
+
+
+def _parser(rule: str, parse, first=lambda key, value: value):
+    """A field parser ``(key, value)``: ``parse`` of the value that ``first`` parses,
+    or a ScenarioError naming the field and ``rule`` if that is None."""
+
+    def parser(key: str, value):
+        value = first(key, value)
+        parsed = parse(value)
+        if parsed is None:
+            raise ScenarioError(f"field '{key}' must be {rule}, got {value!r}")
+        return parsed
+
+    return parser
+
+
+def _one_of(choices: tuple):
+    return _parser(f"one of {choices}", lambda v: v if v in choices else None)
+
+
+_number = _parser("a finite number", _finite)
+_positive = _parser("positive", lambda v: v if v > 0 else None, first=_number)
+_count = _parser(f"an integer in 1..{MAX_COUNT}",
+                 lambda v: v if _integer(v) and 1 <= v <= MAX_COUNT else None)
+_point = _parser("a finite [x, y] pair", _pair)
+
+# every top-level field and its parser; the first pass of the loader parses them
+_FIELDS = {
+    "description": _parser("a string", lambda v: v if isinstance(v, str) else None),
+    "f_c": _positive, "B": _positive, "M": _count, "R": _count, "d": _positive,
+    "regime": _one_of(("far", "near")),
+    "nu0": _number, "chi": _number, "psi": _number,
+    "bs": _point, "user": _point, "irs_origin": _point,
+    "design": _one_of(_DESIGNS), "format": _one_of(_FORMATS), "threshold": _number,
+    "sweep": _parser("an object", lambda v: v if isinstance(v, dict) else None),
+}
+# each regime's sweep fields, in SweepSpec order, and their parsers; the second pass
+_SWEEP_FIELDS = {
+    "far": {"nu_start": _number, "nu_stop": _number, "nu_step": _positive,
+            "subcarriers": _parser("a non-empty list of integers", lambda v: tuple(v) if (
+                isinstance(v, list) and v and all(map(_integer, v))) else None)},
+    "near": {"half_span_m": _positive, "step_m": _positive,
+             "subcarrier": _parser("an integer", lambda v: v if _integer(v) else None)},
+}
+_TOP_KEYS = set(_FIELDS)
+_SWEEP_KEYS = {regime: tuple(fields) for regime, fields in _SWEEP_FIELDS.items()}
 
 
 def _named(raw: dict, keys) -> str:
@@ -183,14 +209,13 @@ def _named(raw: dict, keys) -> str:
     return ", ".join(f"'{k}'" for k in keys if k in raw)
 
 
-def _far_target(raw: dict) -> float:
-    """The direction nu of the 'nu0' field, the 'chi'/'psi' angles, or both."""
-    if ("chi" in raw) != ("psi" in raw):
+def _far_target(doc: dict) -> float:
+    """The direction nu of the parsed 'nu0' field, the 'chi'/'psi' angles, or both."""
+    if ("chi" in doc) != ("psi" in doc):
         raise ScenarioError("fields 'chi' and 'psi' must be given together")
-    angles = (_require_number(raw, "chi"), _require_number(raw, "psi")) if "chi" in raw else ()
-    nu = float(np.sin(angles[0]) - np.sin(angles[1])) if angles else None
-    direction = _require_number(raw, "nu0") if "nu0" in raw else nu
-    where = f"far-field target from {_named(raw, _FAR_KEYS)}"
+    nu = float(np.sin(doc["chi"]) - np.sin(doc["psi"])) if "chi" in doc else None
+    direction = doc.get("nu0", nu)
+    where = f"far-field target from {_named(doc, _FAR_KEYS)}"
     if not abs(direction) <= 2.0:
         raise ScenarioError(f"{where}: direction must lie in [-2, 2], got {direction}")
     if nu is not None and abs(nu - direction) > 1e-12:
@@ -199,44 +224,17 @@ def _far_target(raw: dict) -> float:
     return direction
 
 
-def _near_geometry(raw: dict, array: IrsArray) -> NearFieldGeometry:
-    """The geometry of the 'bs', 'user' and 'irs_origin' fields, built on ``array``."""
+def _near_geometry(doc: dict, array: IrsArray) -> NearFieldGeometry:
+    """The geometry of the parsed 'bs', 'user' and 'irs_origin' fields, built on ``array``."""
     for key in _NEAR_KEYS:
-        if key not in raw:
+        if key not in doc:
             raise ScenarioError(f"near-field scenario requires field '{key}'")
-    bs, user, origin = (_require_point(raw, key) for key in _NEAR_KEYS)
-    try:
-        return NearFieldGeometry(bs_xy=bs, user_xy=user, irs_origin_xy=origin, array=array)
+    try:  # bs_xy, user_xy and irs_origin_xy, in the order of _NEAR_KEYS
+        return NearFieldGeometry(*(doc[key] for key in _NEAR_KEYS), array=array)
     except ValueError as exc:  # the message opens with the point's label, "BS" or "user"
         key = "bs" if str(exc).startswith("BS ") else "user"
         raise ScenarioError(f"field '{key}': {exc} (IRS elements from fields 'irs_origin', "
                             "'R' and 'd')") from exc
-
-
-def _parse_sweep(raw, regime: str) -> SweepSpec:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"field 'sweep' must be an object, got {raw!r}")
-    stray = sorted(set(raw) - set(_SWEEP_KEYS[regime]))  # unknown, or the other regime's
-    if stray:
-        raise ScenarioError(f"field 'sweep' of a {regime}-field scenario does not take "
-                            f"{_named(raw, stray)}")
-    kwargs = {}
-    for key in ("nu_start", "nu_stop", "nu_step", "half_span_m", "step_m"):
-        if key in raw:
-            kwargs[key] = _require_number(raw, key, positive=key not in ("nu_start", "nu_stop"))
-    if "subcarriers" in raw:
-        subs = raw["subcarriers"]
-        if not isinstance(subs, list) or not subs or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in subs
-        ):
-            raise ScenarioError("sweep field 'subcarriers' must be a non-empty list of integers")
-        kwargs["subcarriers"] = tuple(subs)
-    if "subcarrier" in raw:
-        sub = raw["subcarrier"]
-        if not isinstance(sub, int) or isinstance(sub, bool):
-            raise ScenarioError("sweep field 'subcarrier' must be an integer")
-        kwargs["subcarrier"] = sub
-    return SweepSpec(**kwargs)
 
 
 def _check_sweep_grid(s: SweepSpec, far: bool, n_elements: int, n_subcarriers: int) -> None:
@@ -266,7 +264,10 @@ def _check_sweep_grid(s: SweepSpec, far: bool, n_elements: int, n_subcarriers: i
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a parsed scenario document and resolve defaults.
 
-    Raises :class:`ScenarioError` naming the offending field or invariant.
+    Every top-level field present is parsed by its entry of ``_FIELDS`` first,
+    the sweep's fields by ``_SWEEP_FIELDS`` once the regime is known; the
+    semantic checks then read the parsed values. Raises :class:`ScenarioError`
+    naming the offending field or invariant.
     """
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -276,14 +277,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key in ("f_c", "B", "R"):
         if key not in raw:
             raise ScenarioError(f"required field '{key}' is missing")
-    if not isinstance(raw.get("description", ""), str):
-        raise ScenarioError(f"field 'description' must be a string, got {raw['description']!r}")
+    doc = {key: parse(key, raw[key]) for key, parse in _FIELDS.items() if key in raw}
 
-    f_c = _require_number(raw, "f_c", positive=True)
-    bandwidth = _require_number(raw, "B", positive=True)
-    m = _require_count(raw, "M", DEFAULT_N_SUBCARRIERS)
+    f_c, m = doc["f_c"], doc.get("M", DEFAULT_N_SUBCARRIERS)
     try:
-        config = WidebandConfig(carrier_hz=f_c, bandwidth_hz=bandwidth, n_subcarriers=m)
+        config = WidebandConfig(carrier_hz=f_c, bandwidth_hz=doc["B"], n_subcarriers=m)
     except ValueError as exc:
         raise ScenarioError(f"fields 'f_c', 'B', 'M': {exc}") from exc
 
@@ -292,49 +290,48 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not math.isfinite(config.wavelength_m):
         raise ScenarioError(f"field 'f_c': the carrier wavelength c / f_c is "
                             f"{config.wavelength_m} m")
-    top = f_c + config.subcarrier_spacing_hz * ((m - 1) - (m - 1) / 2.0)  # f_M, as in the grid
+    top = _subcarrier_frequency(config, m)  # f_M
     if not math.isfinite(2.0 * math.pi * top):
         raise ScenarioError(f"fields 'f_c' and 'B': 2 pi times the highest subcarrier "
                             f"frequency, {top} Hz, overflows")
 
-    n_elements = _require_count(raw, "R")
-    array = (IrsArray(n_elements, _require_number(raw, "d", positive=True)) if "d" in raw
-             else IrsArray.half_wavelength(config, n_elements))
+    array = (IrsArray(doc["R"], doc["d"]) if "d" in doc
+             else IrsArray.half_wavelength(config, doc["R"]))
 
-    far_keys, near_keys = _named(raw, _FAR_KEYS), _named(raw, _NEAR_KEYS)
+    far_keys, near_keys = _named(doc, _FAR_KEYS), _named(doc, _NEAR_KEYS)
     if far_keys and near_keys:
         raise ScenarioError(f"exactly one regime's geometry may be present, "
                             f"got both: {far_keys} and {near_keys}")
     if not far_keys and not near_keys:
-        raise ScenarioError(
-            "no geometry given: set 'nu0' (or 'chi'/'psi') for far field, "
-            "or 'bs'/'user'/'irs_origin' for near field"
-        )
+        raise ScenarioError("no geometry given: set 'nu0' (or 'chi'/'psi') for far field, "
+                            "or 'bs'/'user'/'irs_origin' for near field")
     regime = "far" if far_keys else "near"
-    if "regime" in raw and raw["regime"] != regime:
-        raise ScenarioError(
-            f"field 'regime' says {raw['regime']!r} but the geometry fields imply {regime!r}"
-        )
-    link = _far_target(raw) if regime == "far" else _near_geometry(raw, array)
-    aperture = (n_elements - 1) * array.spacing_m  # 0 for one element, which has no boundary
-    if aperture > 0 and not (math.isfinite(aperture)
-                             and math.isfinite(fraunhofer_distance(aperture, config))):
-        raise ScenarioError(f"field 'd': the aperture (R - 1) d = {aperture} m has no finite "
-                            "Fraunhofer distance 2 D^2 / lambda_c")
+    if doc.get("regime", regime) != regime:
+        raise ScenarioError(f"field 'regime' says {doc['regime']!r} but the geometry fields "
+                            f"imply {regime!r}")
+    link = _far_target(doc) if regime == "far" else _near_geometry(doc, array)
+    aperture = (array.n_elements - 1) * array.spacing_m
+    try:
+        if aperture > 0:  # one element has no aperture and no boundary
+            fraunhofer_distance(aperture, config)
+    except ValueError as exc:
+        raise ScenarioError(f"field 'd': the aperture (R - 1) d = {aperture} m with field "
+                            "'f_c' has no finite, positive Fraunhofer distance 2 D^2 / lambda_c"
+                            ) from exc
 
-    design = raw.get("design", "phases_only")
-    if design not in _DESIGNS:
-        raise ScenarioError(f"field 'design' must be one of {_DESIGNS}, got {design!r}")
-    out_format = raw.get("format", "csv")
-    if out_format not in _FORMATS:
-        raise ScenarioError(f"field 'format' must be one of {_FORMATS}, got {out_format!r}")
-    threshold = _require_number(raw, "threshold") if "threshold" in raw else DEFAULT_THRESHOLD
+    threshold = doc.get("threshold", DEFAULT_THRESHOLD)
     try:
         check_threshold(threshold)
     except ValueError as exc:
         raise ScenarioError(f"field 'threshold': {exc}") from None
 
-    sweep = _parse_sweep(raw.get("sweep", {}), regime)
+    fields, given = _SWEEP_FIELDS[regime], doc.get("sweep", {})
+    stray = sorted(set(given) - set(fields))  # unknown, or the other regime's
+    if stray:
+        raise ScenarioError(f"field 'sweep' of a {regime}-field scenario does not take "
+                            f"{_named(given, stray)}")
+    sweep = SweepSpec(**{key: parse(key, given[key]) for key, parse in fields.items()
+                         if key in given})
 
     def resolve(key: str, s: int) -> int:
         # resolve the -1 shorthand for "highest subcarrier" now that M is known
@@ -347,7 +344,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     sweep = replace(sweep, subcarriers=rows, subcarrier=resolve("subcarrier", sweep.subcarrier))
     _check_sweep_grid(sweep, regime == "far", array.n_elements, m)
 
-    return Scenario(config, array, link, design, sweep, float(threshold), out_format)
+    return Scenario(config, array, link, doc.get("design", "phases_only"), sweep, threshold,
+                    doc.get("format", "csv"))
 
 
 def _parse_int(literal: str) -> int | float:

@@ -38,12 +38,15 @@ from irsbeam.cli import (
     build_parser,
     main,
     read_gain_map_csv,
+    run,
     write_gain_map,
 )
-from irsbeam.scan import DEFAULT_THRESHOLD
+from irsbeam.scan import DEFAULT_THRESHOLD, grid_size
 from irsbeam.scenario import (
     _DESIGNS,
+    _FAR_KEYS,
     _FORMATS,
+    _NEAR_KEYS,
     _SWEEP_KEYS,
     _TOP_KEYS,
     DEFAULT_N_SUBCARRIERS,
@@ -259,6 +262,10 @@ class TestScenarioLoading:
             ("metrics", {"f_c": 1.7e308, "B": 1e-310, "R": 3, "M": 2, "nu0": 0.5,
                          "design": "dam"},
              r"fields 'f_c' and 'B': 2 pi times the highest subcarrier frequency, 1.7e\+308 Hz"),
+            # 2 D^2 / lambda_c of the default spacing underflowed: fraunhofer wrote 0
+            ("fraunhofer", {"f_c": 1e300, "B": 1e9, "R": 3, "nu0": 0.5},
+             r"field 'd': the aperture \(R - 1\) d = 2.99\d*e-292 m with field 'f_c' has no "
+             r"finite, positive Fraunhofer distance"),
         ],
     )
     def test_band_quantities_checked_at_load(self, tmp_path, capsys, subcommand, body, match):
@@ -282,6 +289,26 @@ class TestScenarioLoading:
                                 "nu0": -2.0, "design": "dam", "sweep": {"nu_step": 1.0}})
         delays = irsbeam.far_dam_design(s.array, s.config, s.link).delays.delays
         assert math.isfinite(delays.max()) and delays.max() > 6e305
+
+    @pytest.mark.parametrize("body", [
+        {"f_c": 200e9, "B": 6e9, "M": MAX_COUNT}, {"f_c": 1e307, "B": 3e306, "M": 3},
+        {"f_c": 1e-290, "B": 1.9e-290, "M": 2**20 - 1}, {"f_c": 3e12, "B": 1e8, "M": 1},
+    ])
+    def test_highest_subcarrier_checked_from_the_grid_formula(self, body):
+        # the load check reads f_M from the formula of subcarrier_frequencies, bit
+        # for bit, and allocates nothing of size M
+        from irsbeam.model import _subcarrier_frequency, subcarrier_frequencies
+
+        doc = {**body, "R": 1, "d": 1.0, "nu0": 0.5, "sweep": {"nu_step": 1.0}}
+        tracemalloc.start()
+        try:
+            s = scenario_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * body["M"] or peak < 2**16, peak
+        top = _subcarrier_frequency(s.config, body["M"])
+        assert top.hex() == subcarrier_frequencies(s.config)[-1].hex()
 
     def test_all_presets_load(self):
         for name in PRESET_NAMES:
@@ -440,6 +467,150 @@ class TestScenarioLoading:
         assert scenario_from_dict({**MINIMAL_FAR, "R": 2**10, "M": 2**20}).n_elements == 2**10
 
 
+ABSENT = object()  # a field left out of the document
+# values at the edges of every field, each one that json.loads can yield
+EDGES = [0, -0.0, 5e-324, 1e-310, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, math.nan,
+         10**400, -(10**400), 2**64, True, False, "", "1", None, [], [1.0], [1.0, 2.0, 3.0],
+         {}, ABSENT]
+POINTS = [[3.0, 0.0], [0.5, -1.0], [2.0, 0.5], [1.0, 1.0], [0.0, 1.0]]
+# per field, the values of a valid document (by regime where they differ; a
+# field a regime does not list is left out), and the field's own edge values
+VALID = {
+    "f_c": [200e9, 1e9, 3e12], "B": [6e9, 30e9, 1e8], "M": [ABSENT, 1, 2, 16],
+    "d": [ABSENT, 7.5e-4, 1e-3, 0.01], "design": [ABSENT, "phases_only", "dam"],
+    "format": [ABSENT, "csv", "json"], "threshold": [ABSENT, 0.5, 0.2],
+    "description": [ABSENT, "a note"],
+    "far": {"regime": [ABSENT, "far"], "nu0": [0.5, -2.0, 1.5, 0.0],
+            "nu_start": [ABSENT, -1.0, -2.0], "nu_stop": [ABSENT, 1.0, 2.0],
+            "nu_step": [0.5, 0.25, 0.01], "subcarriers": [ABSENT, [1, 0, -1], [1], [16, -1]]},
+    "near": {"regime": [ABSENT, "near"], "bs": [[0.0, 0.0], [0.5, -1.0]],
+             "user": [[3.0, 0.0], [2.0, 0.5]], "irs_origin": [[1.0, 1.0], [0.0, 1.0]],
+             "half_span_m": [0.05, 0.1], "step_m": [ABSENT, 0.05, 0.025],
+             "subcarrier": [ABSENT, 0, 1, -1]},
+}
+OWN_EDGES = {
+    "f_c": [4e11, 1e-3], "B": [4e11, 1e12], "M": [MAX_COUNT + 1, -1, 1.5],
+    "R": [MAX_COUNT + 1, -1, 3.0], "d": [1e9, 1e-300], "nu0": [2.5, -2.0000001, 0.5],
+    "chi": [0.5, math.pi / 6], "psi": [0.0, -1.0], "bs": POINTS, "user": POINTS,
+    "irs_origin": POINTS, "design": ["other", "DAM"], "format": ["xml"],
+    "threshold": [1.0, 0.999, 1e-310], "regime": ["far", "near", "mid"], "description": [7],
+    "bogus": [1], "nu_start": [2.0, -1.0], "nu_stop": [-2.0, 1.0],
+    "nu_step": [0.3, 1e10, 1e-10, 0.5], "subcarriers": [[999], [True], [1.0], [-2], [0, 0, 0, 0]],
+    "half_span_m": [1e4, 0.05], "step_m": [0.003, 1e-7, 0.05], "subcarrier": [200, -2, 1.0, 1],
+}
+WORK_CAP = 2**16
+SWEEP_KEYS = [*_SWEEP_KEYS["far"], *_SWEEP_KEYS["near"]]
+FAULTABLE = sorted(_TOP_KEYS - {"R", "sweep"}) + ["bogus"]
+POOLS = {  # (drawn as a fault, regime, field) -> a strategy of its pool, or its one value
+    (fault, regime, key): pool[0] if len(pool) == 1 else st.sampled_from(pool)
+    for fault in (False, True) for regime in ("far", "near")
+    for key in [*FAULTABLE, "R", "sweep", *SWEEP_KEYS]
+    for pool in [EDGES + OWN_EDGES.get(key, []) if fault
+                 else VALID.get(key) or VALID[regime].get(key, [ABSENT])]
+}
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document of either regime, with up to three fields at edge values.
+
+    A field takes a value of its valid pool, or, if it is drawn as a fault, one
+    of EDGES or of its own edge values; 'bogus' stands for an unknown field.
+    The generator caps the work of a document, R x points <= 2^16, where points
+    is the most targets one subcommand evaluates, M or the sweep grid. R is
+    drawn last: as an edge value if it is a fault, which none of them loads,
+    else from 1 to 2^16 // points of the document at R = 1. No pool holds a
+    valid M or sweep grid of more than 2^16 points. The test checks the rest.
+    """
+    regime = draw(st.sampled_from(["far", "near"]))
+    faults = draw(st.sets(st.sampled_from([*FAULTABLE, "R", "sweep", *SWEEP_KEYS]), max_size=3))
+
+    def value(key):
+        pool = POOLS[key in faults, regime, key]
+        return draw(pool) if isinstance(pool, st.SearchStrategy) else pool
+
+    doc = {key: value(key) for key in FAULTABLE}
+    doc["sweep"] = {key: v for key in SWEEP_KEYS if (v := value(key)) is not ABSENT} or ABSENT
+    if "sweep" in faults:
+        doc["sweep"] = value("sweep")
+    doc = {key: v for key, v in doc.items() if v is not ABSENT}
+    try:
+        s = scenario_from_dict({**doc, "R": 1})
+    except ScenarioError:  # rejected at every R: a larger R only adds elements
+        points = 1
+    else:
+        w = s.sweep
+        grid = (len(w.subcarriers) * grid_size(w.nu_start, w.nu_stop, w.nu_step)
+                if s.regime == "far" else grid_size(-w.half_span_m, w.half_span_m, w.step_m) ** 2)
+        points = max(s.config.n_subcarriers, grid)
+    r = value("R") if "R" in faults else draw(st.integers(1, max(1, WORK_CAP // points)))
+    return doc if r is ABSENT else doc | {"R": r}
+
+
+def _names_a_field(message: str, doc: dict) -> bool:
+    """Whether ``message`` quotes a field of the schema or a key of ``doc``."""
+    sweep = doc["sweep"] if isinstance(doc.get("sweep"), dict) else {}
+    return any(f"'{key}'" in message for key in {*_TOP_KEYS, *SWEEP_FIELDS, *doc, *sweep})
+
+
+def _artifact_numbers(path: Path, out_format: str) -> tuple[list[float], dict]:
+    """Every number of a CSV or JSON artifact, and its named top-level values."""
+    text = path.read_text()
+    if out_format == "json":
+        named = json.loads(text)  # the writer spells a non-finite value NaN or Infinity
+        nodes, numbers = [named], []
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (dict, list)):
+                nodes.extend(node.values() if isinstance(node, dict) else node)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                numbers.append(node)
+        return numbers, named
+    header, *lines = text.splitlines()
+    records = [line.split(",") for line in lines]
+    if header == "metric,value":  # the metrics and fraunhofer records: a name, a number
+        named = {name: float(value) for name, value in records}
+        return list(named.values()), named
+    return np.array(records, dtype=np.float64).ravel().tolist(), {}
+
+
+class TestScenarioEdges:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(doc=scenario_documents())
+    # the Fraunhofer distance underflowed to 0, and fraunhofer wrote it
+    @example(doc={"f_c": 1e300, "B": 1e9, "R": 3, "nu0": 0.5})
+    # 2 pi f overflowed in the DAM weights; c / f_c overflowed though 'd' was
+    # given; the element positions overflowed with a numpy warning
+    @example(doc={"f_c": 1.7e308, "B": 1e-310, "R": 3, "M": 2, "nu0": 0.5, "design": "dam"})
+    @example(doc={"f_c": 1e-310, "B": 1e-310, "R": 3, "d": 1e9, "nu0": 0.5})
+    @example(doc={**MINIMAL_NEAR, "d": 1.7e308})
+    # fraunhofer rejected one element, and near-heatmap a cell on an element,
+    # without naming a field
+    @example(doc={**MINIMAL_FAR, "R": 1})
+    @example(doc={**MINIMAL_NEAR, "user": [1.0, 1.5], "sweep": {"half_span_m": 0.5,
+                                                                "step_m": 0.25}})
+    def test_document_rejected_naming_a_field_or_every_run_finite(self, tmp_path_factory, doc):
+        # under the pytest config's warnings-as-errors, so a numpy warning fails it too
+        try:
+            scenario = scenario_from_dict(doc)
+        except ScenarioError as exc:
+            assert _names_a_field(str(exc), doc), exc
+            return
+        out = tmp_path_factory.getbasetemp() / "edge-artifact"
+        other = {"far": "near-", "near": "far-"}[scenario.regime]
+        for subcommand in (name for name in _SUBCOMMANDS if not name.startswith(other)):
+            out.unlink(missing_ok=True)
+            try:
+                run(subcommand, scenario, out)
+            except ScenarioError as exc:
+                assert _names_a_field(str(exc), doc), (subcommand, exc)
+                continue
+            numbers, named = _artifact_numbers(out, scenario.out_format)
+            assert numbers and all(map(math.isfinite, numbers)), (subcommand, numbers[:9])
+            if subcommand == "fraunhofer":
+                assert named["fraunhofer_distance_m"] > 0, named
+
+
 class TestCli:
     def test_design_far_dam_json(self, tmp_path):
         scenario = write_scenario(tmp_path, {**MINIMAL_FAR, "design": "dam"})
@@ -502,8 +673,10 @@ class TestCli:
             fraunhofer_distance(2 * lam, cfg200), 4 * fraunhofer_distance(lam, cfg200),
             rtol=1e-15,
         )
-        with pytest.raises(ValueError):
-            fraunhofer_distance(0.0, cfg200)
+        # no aperture, and one whose 2 D^2 / lambda_c underflows to 0
+        for aperture in (0.0, 1e-170):
+            with pytest.raises(ValueError):
+                fraunhofer_distance(aperture, cfg200)
 
     def test_fraunhofer_reference_value(self, tmp_path):
         out = tmp_path / "fr.json"

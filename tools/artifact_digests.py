@@ -19,8 +19,12 @@ digest covers the shape, the dtype and the bytes. Last come the CSV bytes of
 of 256 cells, keyed ``library/csv/<shape>``: 1, 255, 256, 257 and 1,000
 points, 1-D and under a 3-point integer head axis, with -0.0, 5e-324 and
 +-1e300 among the points and -0.0, 5e-324, 0 and 1 among the values at those
-edges. They use only the package's
-public API, so one copy of this script digests any version. Two versions of
+edges. Last of all, one line per fixed invalid scenario document, one for
+each rule of the loader's field parsers and one for each of its semantic
+checks, keyed ``library/scenario/<case>``: the sha256 of the
+``ScenarioError`` text that ``scenario_from_dict`` raises (``loaded`` if it
+loads), and ``-``, so a diff names every loader message that moved. They use
+only the package's public API, so one copy of this script digests any version. Two versions of
 the package give the same artifacts and library outputs exactly when their
 outputs ``diff`` clean:
 
@@ -203,6 +207,69 @@ def csv_lines() -> list[str]:
     return lines
 
 
+FAR = {"f_c": 200e9, "B": 6e9, "R": 64, "nu0": 0.5}
+NEAR = {"f_c": 200e9, "B": 6e9, "R": 64, "bs": [0.0, 0.0], "user": [3.0, 0.0],
+        "irs_origin": [1.0, 1.0]}
+# invalid documents: one per rule of a field parser, then one per semantic check
+SCENARIO_CASES = {
+    "number": {**FAR, "nu0": "0.5"},
+    "number_huge_int": {**FAR, "chi": 10**400, "psi": 0.0},
+    "positive": {**FAR, "B": 0},
+    "count": {**FAR, "R": 0},
+    "count_bool": {**FAR, "M": True},
+    "point": {**NEAR, "user": [3.0]},
+    "design": {**FAR, "design": "other"},
+    "format": {**FAR, "format": "xml"},
+    "regime_value": {**FAR, "regime": "mid"},
+    "description": {**FAR, "description": 7},
+    "sweep_object": {**FAR, "sweep": [1]},
+    "sweep_number": {**FAR, "sweep": {"nu_start": None}},
+    "sweep_positive": {**NEAR, "sweep": {"step_m": -0.01}},
+    "subcarriers_list": {**FAR, "sweep": {"subcarriers": []}},
+    "subcarrier_integer": {**NEAR, "sweep": {"subcarrier": 1.0}},
+    "document": [FAR],
+    "unknown": {**FAR, "bogus": 1},
+    "required": {"f_c": 200e9, "R": 64, "nu0": 0.5},
+    "band": {**FAR, "B": 500e9},
+    "wavelength": {"f_c": 1e-310, "B": 1e-310, "R": 3, "d": 1e9, "nu0": 0.5},
+    "top_subcarrier": {"f_c": 1.7e308, "B": 1e-310, "R": 3, "M": 2, "nu0": 0.5},
+    "both_regimes": {**NEAR, "nu0": 0.5},
+    "no_geometry": {"f_c": 200e9, "B": 6e9, "R": 64},
+    "regime_mismatch": {**FAR, "regime": "near"},
+    "chi_without_psi": {**FAR, "chi": 0.1},
+    "chi_type_without_psi": {**FAR, "chi": "0.1"},
+    "direction_range": {**FAR, "nu0": 2.5},
+    "direction_angles": {**FAR, "chi": 0.5, "psi": 0.0},
+    "near_missing": {k: v for k, v in NEAR.items() if k != "irs_origin"},
+    "near_coincides": {**NEAR, "user": [1.0, 1.0]},
+    "near_overflow": {**NEAR, "d": 1e300},
+    "aperture_overflow": {**FAR, "d": 1e300},
+    "aperture_underflow": {"f_c": 1e300, "B": 1e9, "R": 3, "nu0": 0.5},
+    "threshold": {**FAR, "threshold": 1.0},
+    "sweep_stray": {**FAR, "sweep": {"half_span_m": 0.1}},
+    "subcarriers_index": {**FAR, "sweep": {"subcarriers": [1, 999]}},
+    "subcarrier_index": {**NEAR, "sweep": {"subcarrier": -2}},
+    "grid_divide": {**FAR, "sweep": {"nu_step": 0.3}},
+    "grid_cells": {**NEAR, "sweep": {"step_m": 1e-7}},
+    "grid_evals": {**FAR, "R": 2**15, "sweep": {"nu_step": 1e-4}},
+    "subcarrier_evals": {**FAR, "R": 2**11, "M": 2**20},
+}
+
+
+def scenario_lines() -> list[str]:
+    from irsbeam import ScenarioError, scenario_from_dict
+
+    lines = []
+    for case, doc in SCENARIO_CASES.items():
+        try:
+            scenario_from_dict(doc)
+            sha = "loaded"
+        except ScenarioError as exc:
+            sha = hashlib.sha256(str(exc).encode()).hexdigest()
+        lines.append(f"library/scenario/{case} {sha} -")
+    return lines
+
+
 def compare_lines(old: Path, new: Path) -> list[str]:
     lines = []
     for name in sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()}):
@@ -247,7 +314,7 @@ def main(argv=None) -> int:
             return 2
         if args.keep is not None:
             args.keep.mkdir(parents=True, exist_ok=True)
-        lines = digest_lines(args.keep) + library_lines() + csv_lines()
+        lines = digest_lines(args.keep) + library_lines() + csv_lines() + scenario_lines()
     print("\n".join(lines))
     return 0
 
