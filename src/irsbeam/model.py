@@ -68,6 +68,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for a message, or where that would pass Python's int-to-str
+    digit limit, a description by bit length that cannot raise."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past the limit, or a container that holds one
+        return (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
+                else f"a {type(value).__name__} holding an integer too long to print")
+
+
 @dataclass(frozen=True)
 class WidebandConfig:
     """OFDM-style wideband configuration around a carrier.
@@ -93,7 +108,7 @@ class WidebandConfig:
                 "bandwidth_hz must be < 2 * carrier_hz so the lowest subcarrier "
                 f"frequency stays positive (B={self.bandwidth_hz}, f_c={self.carrier_hz})"
             )
-        if int(self.n_subcarriers) != self.n_subcarriers or self.n_subcarriers < 1:
+        if not _is_integer(self.n_subcarriers) or self.n_subcarriers < 1:
             raise ValueError(f"n_subcarriers must be an integer >= 1, got {self.n_subcarriers}")
 
     @property
@@ -114,7 +129,7 @@ class IrsArray:
     spacing_m: float
 
     def __post_init__(self):
-        if int(self.n_elements) != self.n_elements or self.n_elements < 1:
+        if not _is_integer(self.n_elements) or self.n_elements < 1:
             raise ValueError(f"n_elements must be an integer >= 1, got {self.n_elements}")
         if not (np.isfinite(self.spacing_m) and self.spacing_m > 0):
             raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
@@ -267,13 +282,12 @@ def subcarrier_frequencies(cfg: WidebandConfig) -> np.ndarray:
 def resolve_subcarrier(cfg: WidebandConfig, index: int) -> int:
     """Resolve the -1 shorthand for the highest subcarrier M; raises unless
     the index is an integer, not a bool, that is then 0 (carrier) or 1..M."""
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValueError(f"subcarrier index must be an integer, got {index!r}")
+    if not _is_integer(index):
+        raise ValueError(f"subcarrier index must be an integer, got {_shown(index)}")
     resolved = cfg.n_subcarriers if index == -1 else index
-    if not 0 <= resolved <= cfg.n_subcarriers:
-        raise ValueError(
-            f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, got {index}"
-        )
+    if not 0 <= resolved <= cfg.n_subcarriers:  # int(): a numpy integer shown by its digits
+        raise ValueError(f"subcarrier index must be 0 (carrier) or 1..{cfg.n_subcarriers}, "
+                         f"got {_shown(int(index))}")
     return resolved
 
 

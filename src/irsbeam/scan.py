@@ -25,6 +25,7 @@ from .model import (
     PhaseProfile,
     WidebandConfig,
     _readonly,
+    _subcarrier_frequency,
     resolve_subcarrier,
     subcarrier_frequencies,
 )
@@ -69,18 +70,22 @@ def grid_points(start: float, stop: float, step: float) -> np.ndarray:
 
 def _subcarrier_rows(cfg: WidebandConfig, selectors) -> tuple[list[int], np.ndarray]:
     """The subcarrier ``selectors`` resolved by :func:`resolve_subcarrier`, and
-    their frequencies: f_c for 0, else the grid's f_m."""
+    their frequencies: f_c for 0, else f_m."""
     rows = [resolve_subcarrier(cfg, s) for s in selectors]
-    grid_hz = subcarrier_frequencies(cfg)
-    return rows, np.array([grid_hz[s - 1] if s else cfg.carrier_hz for s in rows])
+    return rows, np.array([_subcarrier_frequency(cfg, s) if s else cfg.carrier_hz for s in rows])
+
+
+def _normalized_map(values: np.ndarray, n_elements: int, *axes: Axis) -> GainMap:
+    """The kernel's fresh ``values`` divided by R in place and handed to the map
+    over ``axes`` read-only, so that the map keeps them uncopied."""
+    values /= n_elements
+    return GainMap(axes, _readonly(values))
 
 
 def _per_subcarrier(gains: np.ndarray, n_elements: int) -> GainMap:
     """The (M, 1) kernel ``gains`` at one target as a normalized map over subcarriers 1..M."""
-    return GainMap(
-        axes=(Axis("subcarrier", "index", np.arange(1, len(gains) + 1)),),
-        values=_readonly(gains[:, 0] / n_elements),
-    )
+    return _normalized_map(gains[:, 0], n_elements,
+                           Axis("subcarrier", "index", np.arange(1, len(gains) + 1)))
 
 
 def make_design(
@@ -114,16 +119,10 @@ def angle_sweep(
     if not subcarriers:
         raise ValueError("at least one subcarrier row is required")
     nu = grid_points(*nu_grid)
-    grid = (nu_grid[0], nu_grid[2], nu.size)
-    values = _far_grid_gain(array, cfg, freqs, grid, phases, delays)
-    values /= array.n_elements
-    return GainMap(
-        axes=(
-            Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),
-            Axis("direction", "sin(chi) - sin(psi)", nu),
-        ),
-        values=_readonly(values),
-    )
+    values = _far_grid_gain(array, cfg, freqs, (nu_grid[0], nu_grid[2], nu.size), phases, delays)
+    return _normalized_map(values, array.n_elements,
+                           Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),
+                           Axis("direction", "sin(chi) - sin(psi)", nu))
 
 
 def subcarrier_sweep_far(
@@ -170,16 +169,12 @@ def location_heatmap(
     """
     design = make_design(geom.array, cfg, geom, use_dam)
     (freq,) = _subcarrier_rows(cfg, [subcarrier])[1]
-    ux, uy = geom.user_xy
-    xs = ux + grid_points(-half_span_m, half_span_m, step_m)
-    ys = uy + grid_points(-half_span_m, half_span_m, step_m)
+    # one offset grid for both axes: the rows of user_xy + offsets
+    xs, ys = np.add.outer(geom.user_xy, grid_points(-half_span_m, half_span_m, step_m))
     values = _near_gain(geom, cfg, freq, xs, ys, ys.size, design.phases, design.delays)
-    values = values.reshape(xs.size, ys.size)  # a view: the kernel's output is contiguous
-    values /= geom.array.n_elements
-    return GainMap(
-        axes=(Axis("x", "m", xs), Axis("y", "m", ys)),
-        values=_readonly(values),
-    )
+    # a view: the kernel's output is contiguous
+    return _normalized_map(values.reshape(xs.size, ys.size), geom.array.n_elements,
+                           Axis("x", "m", xs), Axis("y", "m", ys))
 
 
 def squint_metrics(gain_map: GainMap, threshold: float = DEFAULT_THRESHOLD) -> dict:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (IrsArray, WidebandConfig, _subcarrier_frequency, fraunhofer_distance,
-                    resolve_subcarrier)
+from .model import (IrsArray, WidebandConfig, _shown, _subcarrier_frequency,
+                    fraunhofer_distance, resolve_subcarrier)
 from .nearfield import NearFieldGeometry
 from .scan import (
     DEFAULT_HEATMAP_HALF_SPAN_M,
@@ -166,7 +166,7 @@ def _parser(rule: str, parse, first=lambda key, value: value):
         value = first(key, value)
         parsed = parse(value)
         if parsed is None:
-            raise ScenarioError(f"field '{key}' must be {rule}, got {value!r}")
+            raise ScenarioError(f"field '{key}' must be {rule}, got {_shown(value)}")
         return parsed
 
     return parser
@@ -338,7 +338,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         try:
             return resolve_subcarrier(config, s)
         except ValueError:
-            raise ScenarioError(f"sweep field '{key}': index {s} outside 0..{m}") from None
+            raise ScenarioError(f"sweep field '{key}': index {_shown(s)} outside 0..{m}") from None
 
     rows = tuple(resolve("subcarriers", s) for s in sweep.subcarriers)
     sweep = replace(sweep, subcarriers=rows, subcarrier=resolve("subcarrier", sweep.subcarrier))

@@ -47,6 +47,20 @@ class TestWidebandConfig:
         with pytest.raises(ValueError):
             WidebandConfig(**kwargs)
 
+    @pytest.mark.parametrize("count", [64.0, np.float64(64.0), True, np.True_, float("inf"), "64"],
+                             ids=["float", "np_float", "bool", "np_bool", "inf", "str"])
+    def test_counts_must_be_integers(self, count):
+        # a float count used to be accepted and fail later in the kernel or the
+        # geometry with a TypeError or an IndexError, and inf with an OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"n_elements must be an integer >= 1, "
+                                                       f"got {count}")):
+            IrsArray(count, 1e-3)
+        with pytest.raises(ValueError, match=re.escape(f"n_subcarriers must be an integer >= 1, "
+                                                       f"got {count}")):
+            WidebandConfig(200e9, 6e9, count)
+        assert IrsArray(np.int64(64), 1e-3).n_elements == 64
+        assert WidebandConfig(200e9, 6e9, np.int32(16)).n_subcarriers == 16
+
 
 class TestSubcarrierGrid:
     def test_reference_edge_frequencies(self, cfg200):
@@ -97,6 +111,12 @@ class TestSubcarrierGrid:
         with pytest.raises(ValueError, match=message):
             angle_sweep(array64, cfg200, far_optimal_phases(array64, 0.5), subcarriers=(bad,))
         assert resolve_subcarrier(cfg200, np.int64(-1)) == 128
+
+    @pytest.mark.parametrize("huge", [10**5000, -(10**5000)], ids=["positive", "negative"])
+    def test_selector_past_the_int_str_limit_is_described_by_its_bits(self, cfg200, huge):
+        # printing its digits would raise Python's int-to-str ValueError instead
+        with pytest.raises(ValueError, match="got an integer of 16610 bits$"):
+            resolve_subcarrier(cfg200, huge)
 
 
 class TestFarSteeringVector:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from irsbeam import (
     subcarrier_sweep_far,
     subcarrier_sweep_near,
 )
+from irsbeam.farfield import _far_grid_gain
 from irsbeam.model import NORMALIZED_GAIN_SLACK, resolve_subcarrier
-from irsbeam.scan import grid_size, make_design
+from irsbeam.nearfield import _near_gain
+from irsbeam.scan import _subcarrier_rows, grid_size, make_design
 from conftest import make_geometry
 
 
@@ -184,6 +187,71 @@ class TestSubcarrierSweepNear:
         small = subcarrier_sweep_near(make_geometry(cfg200, 64), cfg200).values.min()
         large = subcarrier_sweep_near(make_geometry(cfg200, 256), cfg200).values.min()
         assert large < small
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()`` above the memory traced before it, and
+    its result; a first, untraced call warms every cache it fills."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_and_kernel(kind: str, use_dam: bool):
+    """A sweep of ``kind`` and its kernel call with the same arguments."""
+    if kind == "angle":  # 16 rows x 20,001 directions: 2.6 MB of values
+        cfg = WidebandConfig(200e9, 6e9, 16)
+        array = IrsArray.half_wavelength(cfg, 64)
+        design = make_design(array, cfg, 0.3, use_dam)
+        rows, grid = range(1, 17), (-2.0, 2.0, 2e-4)
+        freqs, n = _subcarrier_rows(cfg, rows)[1], grid_size(*grid)
+        return (lambda: angle_sweep(array, cfg, design.phases, design.delays, rows, grid),
+                lambda: _far_grid_gain(array, cfg, freqs, (grid[0], grid[2], n),
+                                       design.phases, design.delays))
+    if kind == "heatmap":  # 401 x 401 cells: 1.3 MB of values
+        cfg = WidebandConfig(200e9, 6e9, 16)
+        geom = make_geometry(cfg, 4)
+        design = make_design(geom.array, cfg, geom, use_dam)
+        (freq,) = _subcarrier_rows(cfg, [1])[1]
+        xs, ys = 3.0 + grid_points(-0.5, 0.5, 0.0025), grid_points(-0.5, 0.5, 0.0025)
+        return (lambda: location_heatmap(geom, cfg, 1, use_dam, 0.5, 0.0025),
+                lambda: _near_gain(geom, cfg, freq, xs, ys, ys.size, design.phases,
+                                   design.delays))
+    cfg = WidebandConfig(200e9, 6e9, 2**16)  # 0.52 MB of values
+    geom = make_geometry(cfg, 4)
+    if kind == "far_subcarrier":
+        design = make_design(geom.array, cfg, 0.5, use_dam)
+        return (lambda: subcarrier_sweep_far(geom.array, cfg, 0.5, use_dam),
+                lambda: far_beam_gain_profile(geom.array, cfg, subcarrier_frequencies(cfg), [0.5],
+                                              design.phases, design.delays))
+    design = make_design(geom.array, cfg, geom, use_dam)
+    return (lambda: subcarrier_sweep_near(geom, cfg, use_dam),
+            lambda: near_gain_row(geom, cfg, subcarrier_frequencies(cfg), np.array([geom.user_xy]),
+                                  design.phases, design.delays))
+
+
+@pytest.mark.parametrize("use_dam", [False, True], ids=["phases_only", "dam"])
+@pytest.mark.parametrize("kind", ["angle", "far_subcarrier", "near_subcarrier", "heatmap"])
+def test_sweep_memory_beyond_its_kernel_is_its_axes_and_mask(kind, use_dam):
+    """Every sweep divides its kernel's fresh output by R in place and hands it
+    to the map read-only, so the map keeps it uncopied: the sweep's tracemalloc
+    peak exceeds that of its kernel call with the same arguments by at most its
+    axes and one bool per value, the mask of GainMap's range checks. A copy of
+    the values adds 8 B per value, which fails the angle sweep and heatmap
+    cases; in a subcarrier sweep it stays under the kernel's own peak, which
+    holds the frequencies, the output and the scale temporaries."""
+    sweep, kernel = _sweep_and_kernel(kind, use_dam)
+    sweep_peak, gm = _traced_peak(sweep)
+    kernel_peak, values = _traced_peak(kernel)
+    assert gm.values.size == values.size and not gm.values.flags.writeable
+    axes = sum(ax.points.nbytes for ax in gm.axes)
+    assert sweep_peak - kernel_peak <= axes + gm.values.size, (sweep_peak, kernel_peak, axes)
 
 
 class TestLocationHeatmap:

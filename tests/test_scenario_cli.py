@@ -388,6 +388,17 @@ class TestScenarioLoading:
         assert str(path) in err and f"field '{field}' must be" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("patch,field", [
+        ({"f_c": 10**5000}, "field 'f_c' must be"),
+        ({"R": 10**5000}, "field 'R' must be"),
+        ({"sweep": {"subcarriers": [1, 10**5000]}}, "sweep field 'subcarriers': index"),
+    ], ids=["f_c", "R", "subcarriers"])
+    def test_integer_past_the_str_digit_limit_named_in_the_message(self, patch, field):
+        # a dict value, unlike a JSON literal, can hold such an int; its digits
+        # cannot be printed, so the message gives its bit length
+        with pytest.raises(ScenarioError, match=f"^{field}.* an integer of 16610 bits"):
+            scenario_from_dict({**MINIMAL_FAR, **patch})
+
     @pytest.mark.parametrize(
         "body,message",
         [
@@ -960,6 +971,35 @@ class TestPresetRuns:
                               env={**os.environ, "PYTHONPATH": package_root})
         assert proc.returncode == 0, proc.stderr
         assert Path(proc.stdout.strip()) == preset_path("fig3")
+
+
+def _presets_doc_row(name: str) -> str:
+    """The summary cell of ``name``'s row in the tables of docs/presets.md."""
+    return re.search(rf"^\| {name} \|.*\| ([^|]*) \|$", (ROOT / "docs/presets.md").read_text(),
+                     re.MULTILINE)[1]
+
+
+class TestPresetsDoc:
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig7"])
+    def test_metrics_match_the_printed_numbers(self, tmp_path, name):
+        # each metric as the row prints it, "name = value" or "name ≈ value",
+        # within half a unit of the value's last printed digit
+        printed = dict(re.findall(r"\b(fraction_above|min_gain|mean_gain) [=≈] ([0-9.]+)",
+                                  _presets_doc_row(name)))
+        assert sorted(printed) == ["fraction_above", "mean_gain", "min_gain"], printed
+        metrics = run("metrics", load_scenario(preset_path(name)), tmp_path / "metrics.csv")
+        for key, text in printed.items():
+            half_unit = 0.5 * 10.0 ** -len(text.partition(".")[2])
+            assert abs(metrics[key] - float(text)) <= half_unit, (key, metrics[key], text)
+
+    def test_fig8_argmax_is_the_user_cell_with_value_one(self, tmp_path):
+        x, y, value = re.search(r"argmax cell exactly on the user at \(([-0-9.]+), ([-0-9.]+)\) "
+                                r"with value ([0-9.]+)", _presets_doc_row("fig8")).groups()
+        out = tmp_path / "fig8.json"
+        info = run("near-heatmap", load_scenario(preset_path("fig8")), out, "json")
+        assert info["argmax_xy"] == info["user_xy"] == [float(x), float(y)]
+        i, j = info["argmax_cell"]
+        assert json.loads(out.read_text())["values"][i][j] == pytest.approx(float(value), abs=1e-12)
 
 
 def _savetxt_reference(subcommand: str, payload: dict) -> bytes:

@@ -13,7 +13,10 @@ carrier, multi-frequency DAM rows, the empty point list, and, for R = 128 and
 2048, a heatmap whose chunks split its x rows; and for R = 64 and 1024 and both
 designs, angle sweeps at all 16 subcarriers over 20,001 directions (two
 chirp-z blocks, FFTs one frequency at a time) and over 2,001 (FFTs on blocks
-of several frequencies), and a profile at 777 irregular directions. Their
+of several frequencies), and a profile at 777 irregular directions; and for
+R = 7 and 300 and both designs, the far (nu0 = 1.5) and near subcarrier
+sweeps over M = 257 subcarriers of a 30 GHz band, keyed
+``library/<R>/{far,near}_subcarrier_sweep_{phases_only,dam}``. Their
 digest covers the shape, the dtype and the bytes. Last come the CSV bytes of
 ``write_gain_map`` for maps whose rows end at the edges of the writer's blocks
 of 256 cells, keyed ``library/csv/<shape>``: 1, 255, 256, 257 and 1,000
@@ -180,6 +183,16 @@ def library_lines() -> list[str]:
             outputs[f"far_profile_{name}"] = ib.far_beam_gain_profile(
                 array, cfg, ib.subcarrier_frequencies(cfg), directions, phases, delays)
         lines += [_array_line(f"library/{n_elements}/{k}", v) for k, v in outputs.items()]
+    cfg = ib.WidebandConfig(carrier_hz=200e9, bandwidth_hz=30e9, n_subcarriers=257)
+    for n_elements in (7, 300):
+        array = ib.IrsArray.half_wavelength(cfg, n_elements)
+        geom = ib.NearFieldGeometry((0.0, 0.0), (3.0, 0.0), (1.0, 1.0), array)
+        for use_dam in (False, True):
+            design = "dam" if use_dam else "phases_only"
+            sweeps = {"far": ib.subcarrier_sweep_far(array, cfg, 1.5, use_dam),
+                      "near": ib.subcarrier_sweep_near(geom, cfg, use_dam)}
+            lines += [_array_line(f"library/{n_elements}/{regime}_subcarrier_sweep_{design}",
+                                  gm.values) for regime, gm in sweeps.items()]
     return lines
 
 
