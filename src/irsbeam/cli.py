@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Parses a scenario JSON file, dispatches to the design or sweep operations,
-and serializes the result as CSV (one record per grid point, 17 significant
-digits, one ``%`` per block of at most 256 cells) or JSON ({axes, values,
-meta}) for plotting.
+and serializes the result as CSV (one record per grid point, one ``%`` per
+block of at most 256 cells) or JSON ({axes, values, meta}) for plotting. A
+gain map's CSV writes each axis point in the text its JSON artifact gives it,
+the shortest decimal that reads back to the same number, and every other
+number at 17 significant digits.
 JSON is streamed too, one array row at a time, in the bytes that
 ``json.dump(payload, indent=2)`` writes for the arrays as nested lists.
 Exit codes: 0 success, 2 scenario/subcommand problem, 3 I/O failure.
@@ -42,7 +44,7 @@ EXIT_SCENARIO = 2
 EXIT_IO = 3
 
 
-_CELL = "%.17g"  # 17 significant digits round-trip float64 exactly
+_CELL = "%.17g"  # every number but axis points: 17 significant digits round-trip float64
 _BLOCK = 256  # most cells one `%` formats: the text in flight is one block, not a row
 
 
@@ -105,17 +107,27 @@ def _named(values: dict):
     return (f"%s,{_CELL}\r\n" % item for item in values.items())
 
 
+def _points_text(axis):
+    """The points of ``axis`` as its JSON artifact writes them, each by the repr of
+    its dtype kind in ``_REPRS`` (a float as its shortest decimal that reads back
+    to the same double), or by ``_CELL`` for a kind without one; a non-finite
+    float is ``nan`` or ``inf``, which JSON spells ``NaN`` or ``Infinity``."""
+    return map(_REPRS.get(axis.points.dtype.kind, _CELL.__mod__), axis.points.tolist())
+
+
 def _grid_lines(gain_map: GainMap):
     """The CSV records of the grid points, in blocks of at most ``_BLOCK`` cells of
     one grid row. A record is a prefix, the head axes' cells each followed by a
     comma (empty for a 1-D map), and a tail, the last axis's cell, a comma, the
     value's ``%`` spec and CRLF (a map without axes has the one record of its
-    value). Each axis point is formatted once, and each block of values by one
-    ``%`` of its prefixed tails."""
+    value). Each axis point is formatted once, in its JSON text
+    (``_points_text``), and each block of values by one ``%`` of its prefixed
+    tails: a value is formatted once per cell, where ``%.17g`` is faster than
+    ``repr``."""
     head, last = gain_map.axes[:-1], gain_map.axes[-1:]
-    tails = [f"{_CELL % p},{_CELL}\r\n" for ax in last for p in ax.points.tolist()]
+    tails = [f"{p},{_CELL}\r\n" for ax in last for p in _points_text(ax)]
     tails = tails or [_CELL + "\r\n"]
-    prefixes = itertools.product(*([_CELL % p + "," for p in ax.points.tolist()] for ax in head))
+    prefixes = itertools.product(*([p + "," for p in _points_text(ax)] for ax in head))
     values = np.atleast_1d(gain_map.values)
     for index, cells in zip(np.ndindex(values.shape[:-1]), prefixes):
         prefix, row = "".join(cells), values[index]

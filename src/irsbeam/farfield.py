@@ -28,6 +28,7 @@ from .model import (
     _dam_design,
     _element_weights,
     _gain_scales,
+    _kernel_frequencies,
     _phase_only_phases,
     checked_frequencies,
 )
@@ -102,26 +103,27 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
     """
     start, step, n = grid
     n_elements = array.n_elements
-    freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, np.pi, phases, delays)
+    freqs = _kernel_frequencies(n_elements, freqs_hz, phases, delays)
     blocks = -(-n // (max(KERNEL_CHUNK, 2 * n_elements) - n_elements + 1))
     size = -(-n // blocks)
     fft_len = _fft_length(size + n_elements - 1)
     n_freqs = max(1, KERNEL_CHUNK // 2 // fft_len)
     q = np.arange(n_elements) - (n_elements - 1) / 2
     k2 = np.arange(2.0 - size - n_elements, size + n_elements - 1, 2.0) ** 2  # (2k)^2
-    # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
-    # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
-    rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)[:, None]
     out = np.empty((freqs.size, n))
     with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
         np.setbufsize(UFUNC_BUFFER)
         for f0 in range(0, freqs.size, n_freqs):
             f = slice(f0, f0 + n_freqs)
-            chirp = np.fft.fft(_chirp(rates[f], k2), fft_len)
-            weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates[f], 4 * q * q)
+            scale = _gain_scales(cfg, freqs[f], np.pi)[:, None]
+            # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
+            # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
+            rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)
+            chirp = np.fft.fft(_chirp(rates, k2), fft_len)
+            weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates, 4 * q * q)
             for lo in range(0, n, size):
                 centre = start + step * (lo + (size - 1) / 2)
-                spectrum = np.fft.fft(weights * np.exp(-1j * scale[f, None] * centre * q), fft_len)
+                spectrum = np.fft.fft(weights * np.exp(-1j * scale * centre * q), fft_len)
                 spectrum *= chirp
                 conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
                 hi = min(lo + size, n)

@@ -68,16 +68,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kept(a: np.ndarray) -> np.ndarray:
+    """``a`` to keep: itself if it is read-only, else a read-only copy, so the
+    caller's own array stays writable."""
+    return a if not a.flags.writeable else _readonly(a.copy())
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for a message, or where that would pass Python's int-to-str
-    digit limit, a description by bit length that cannot raise."""
+def _shown(value, form=repr) -> str:
+    """``form(value)`` for a message, ``repr`` by default, or where that would pass
+    Python's int-to-str digit limit, a description by bit length that cannot raise."""
     try:
-        return repr(value)
+        return form(value)
     except ValueError:  # an int past the limit, or a container that holds one
         return (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
                 else f"a {type(value).__name__} holding an integer too long to print")
@@ -109,7 +115,8 @@ class WidebandConfig:
                 f"frequency stays positive (B={self.bandwidth_hz}, f_c={self.carrier_hz})"
             )
         if not _is_integer(self.n_subcarriers) or self.n_subcarriers < 1:
-            raise ValueError(f"n_subcarriers must be an integer >= 1, got {self.n_subcarriers}")
+            raise ValueError(
+                f"n_subcarriers must be an integer >= 1, got {_shown(self.n_subcarriers, str)}")
 
     @property
     def wavelength_m(self) -> float:
@@ -130,7 +137,8 @@ class IrsArray:
 
     def __post_init__(self):
         if not _is_integer(self.n_elements) or self.n_elements < 1:
-            raise ValueError(f"n_elements must be an integer >= 1, got {self.n_elements}")
+            raise ValueError(
+                f"n_elements must be an integer >= 1, got {_shown(self.n_elements, str)}")
         if not (np.isfinite(self.spacing_m) and self.spacing_m > 0):
             raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
 
@@ -218,17 +226,18 @@ def _dam_design(turns: np.ndarray, carrier_hz: float, summary: Mapping[str, obje
 
 @dataclass(frozen=True)
 class Axis:
-    """One named, unit-carrying axis of a GainMap; it keeps a read-only copy of its points."""
+    """One named, unit-carrying axis of a GainMap; it keeps read-only points as
+    they are and a read-only copy of writable ones (``_kept``)."""
 
     name: str
     unit: str
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points)
+        points = np.asarray(self.points)
         if points.ndim != 1 or points.size < 1:
             raise ValueError(f"axis '{self.name}' must have a non-empty 1-D point list")
-        object.__setattr__(self, "points", _readonly(points))
+        object.__setattr__(self, "points", _kept(points))
 
 
 NORMALIZED_GAIN_SLACK = 1e-9
@@ -241,7 +250,7 @@ class GainMap:
     Values are gains divided by the element count R, so the analytic peak is
     1; construction rejects NaN and values below 0 or above 1 (plus rounding slack).
     It keeps a read-only array as it is and a read-only copy of a writable
-    one, so the caller's own stays writable.
+    one, so the caller's own stays writable (``_kept``).
     """
 
     axes: tuple[Axis, ...]
@@ -257,9 +266,7 @@ class GainMap:
         if not (values <= 1.0 + NORMALIZED_GAIN_SLACK).all():
             raise ValueError("normalized gain values must not exceed 1")
         object.__setattr__(self, "axes", tuple(self.axes))
-        if values.flags.writeable:
-            values = _readonly(values.copy())
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _kept(values))
 
     def argmax_cell(self) -> tuple[int, ...]:
         """Index of the maximum value; ties break to the lowest row-major index."""
@@ -320,16 +327,22 @@ a ufunc allocates an iterator buffer of that many items for each broadcast or
 strided operand, so that a kernel writes its broadcasts as broadcasts."""
 
 
-def _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays) -> tuple:
-    """Frequencies, checked and flattened, and their scales s = wavenumber (1 + f/f_c);
-    raises on a bad frequency or a profile whose length is not ``n_elements``."""
+def _kernel_frequencies(n_elements, freqs_hz, phases, delays) -> np.ndarray:
+    """Frequencies, checked and flattened; raises on a bad frequency or a profile
+    whose length is not ``n_elements``."""
     freqs = checked_frequencies(freqs_hz).reshape(-1)
     for kind, profile in (("phase", phases), ("delay", delays)):
         if profile is not None and len(profile) != n_elements:
             raise ValueError(
                 f"{kind} profile length {len(profile)} does not match array R={n_elements}"
             )
-    return freqs, wavenumber * (1.0 + freqs / cfg.carrier_hz)
+    return freqs
+
+
+def _gain_scales(cfg, freqs, wavenumber) -> np.ndarray:
+    """The scales s = wavenumber (1 + f/f_c) of a block of ``freqs``: formed per
+    block, so that no F-sized array lives through a kernel's loop."""
+    return wavenumber * (1.0 + freqs / cfg.carrier_hz)
 
 
 def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -> np.ndarray:
@@ -374,14 +387,15 @@ def _array_gain(
     Per call the kernel holds the (F, N) result and one complex chunk buffer,
     16 B per evaluation, that every chunk's ``out`` shares: a fresh one per
     chunk is often handed back to the OS on release and page-faulted in again
-    by the next chunk. Per block of frequencies it holds the weights, per chunk
-    the matmul product and its modulus, a few values per target. Anything more
-    is the path factor's. The chunks run with numpy's ufunc buffer size set to
-    ``UFUNC_BUFFER`` items, which leaving ``np.errstate`` restores: each
-    broadcast or strided ufunc operand then takes an iterator buffer of 2 or
-    4 KiB, not 64 or 128, so a path factor writes its broadcasts as broadcasts.
+    by the next chunk. Per block of frequencies it holds the scales and the
+    weights, one block's at a time, per chunk the matmul product and its
+    modulus, a few values per target. Anything more is the path factor's. The
+    chunks run with numpy's ufunc buffer size set to ``UFUNC_BUFFER`` items,
+    which leaving ``np.errstate`` restores: each broadcast or strided ufunc
+    operand then takes an iterator buffer of 2 or 4 KiB, not 64 or 128, so a
+    path factor writes its broadcasts as broadcasts.
     """
-    freqs, scale = _gain_scales(cfg, n_elements, freqs_hz, wavenumber, phases, delays)
+    freqs = _kernel_frequencies(n_elements, freqs_hz, phases, delays)
     out = np.empty((freqs.size, n_targets))
     n_rows = max(1, min(n_targets, KERNEL_CHUNK // n_elements))
     n_freqs = max(1, KERNEL_CHUNK // (n_rows * n_elements))
@@ -390,11 +404,12 @@ def _array_gain(
         np.setbufsize(UFUNC_BUFFER)
         for f0 in range(0, freqs.size, n_freqs):
             f = slice(f0, f0 + n_freqs)
-            s = scale[f]
+            s = _gain_scales(cfg, freqs[f], wavenumber)
             weights = _element_weights(freqs[f], phases, delays)[..., None]
             for lo in range(0, n_targets, n_rows):
                 hi = min(lo + n_rows, n_targets)
                 factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)
                 path_factor(lo, hi, s, factor)
                 out[f, lo:hi] = np.abs(np.matmul(factor, weights)[..., 0])
+            del weights  # free before the next block's weights are formed
     return out

@@ -5,7 +5,8 @@ squint metrics.
 All sweeps emit normalized gain (divided by the element count R, so the
 analytic peak is 1) packed into a :class:`~irsbeam.model.GainMap`. Each sweep
 is one call into the chunked gain kernel, whose fresh output it normalizes in
-place and hands to the map read-only, so that the map keeps it uncopied. So
+place and hands to the map read-only, so that the map keeps it uncopied, as
+it does each fresh axis array. So
 memory beyond the output stays bounded: a heatmap passes the kernel its two
 axes, never a list of its cells. Subcarrier selectors are 1-based; index 0
 means the exact carrier frequency and -1 the highest subcarrier.
@@ -85,7 +86,7 @@ def _normalized_map(values: np.ndarray, n_elements: int, *axes: Axis) -> GainMap
 def _per_subcarrier(gains: np.ndarray, n_elements: int) -> GainMap:
     """The (M, 1) kernel ``gains`` at one target as a normalized map over subcarriers 1..M."""
     return _normalized_map(gains[:, 0], n_elements,
-                           Axis("subcarrier", "index", np.arange(1, len(gains) + 1)))
+                           Axis("subcarrier", "index", _readonly(np.arange(1, len(gains) + 1))))
 
 
 def make_design(
@@ -121,8 +122,8 @@ def angle_sweep(
     nu = grid_points(*nu_grid)
     values = _far_grid_gain(array, cfg, freqs, (nu_grid[0], nu_grid[2], nu.size), phases, delays)
     return _normalized_map(values, array.n_elements,
-                           Axis("subcarrier", "index (0 = carrier)", np.array(subcarriers)),
-                           Axis("direction", "sin(chi) - sin(psi)", nu))
+                           Axis("subcarrier", "index (0 = carrier)", _readonly(subcarriers)),
+                           Axis("direction", "sin(chi) - sin(psi)", _readonly(nu)))
 
 
 def subcarrier_sweep_far(
@@ -174,7 +175,7 @@ def location_heatmap(
     values = _near_gain(geom, cfg, freq, xs, ys, ys.size, design.phases, design.delays)
     # a view: the kernel's output is contiguous
     return _normalized_map(values.reshape(xs.size, ys.size), geom.array.n_elements,
-                           Axis("x", "m", xs), Axis("y", "m", ys))
+                           Axis("x", "m", _readonly(xs)), Axis("y", "m", _readonly(ys)))
 
 
 def squint_metrics(gain_map: GainMap, threshold: float = DEFAULT_THRESHOLD) -> dict:

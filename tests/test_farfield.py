@@ -177,6 +177,36 @@ class TestBeamGain:
                 DelayProfile(np.zeros(32)),
             )
 
+    @pytest.mark.parametrize("use_dam", [False, True], ids=["phases_only", "dam"])
+    def test_subcarrier_profile_holds_one_block_of_frequencies(self, use_dam):
+        """A one-direction profile over the 2**16 subcarriers of a 6 GHz band at R = 4
+        runs its chunks on blocks of KERNEL_CHUNK / 4 = 4096 frequencies. Beyond its
+        (F, 1) output the call holds the chunk buffer (16 B per evaluation), with
+        delays one block's (4096, 4) weights of the same size, and per frequency of
+        the block a few float64: its scale, and the path factor's exponent and
+        exp, two complex, at most 6 of them with slack; 4 KiB cover the
+        interpreter's objects. Scales formed for the whole band add 8 B per
+        subcarrier and their temporaries as much again; a block's weights formed
+        while the last block's are held add one more block of weights."""
+        cfg = WidebandConfig(200e9, 6e9, 2**16)
+        array = IrsArray.half_wavelength(cfg, 4)
+        dam = far_dam_design(array, cfg, 0.5)
+        phases, delays = (dam.phases, dam.delays) if use_dam else (
+            far_optimal_phases(array, 0.5), None)
+        args = (array, cfg, subcarrier_frequencies(cfg), [0.5], phases, delays)
+        far_beam_gain_profile(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = far_beam_gain_profile(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = KERNEL_CHUNK // array.n_elements
+        buffers = (2 if use_dam else 1) * 16 * KERNEL_CHUNK
+        assert peak - out.nbytes <= buffers + 6 * 8 * block + 4096, peak
+
 
 class TestSquintDirection:
     def test_carrier_is_fixed_point(self):

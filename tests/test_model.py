@@ -61,6 +61,16 @@ class TestWidebandConfig:
         assert IrsArray(np.int64(64), 1e-3).n_elements == 64
         assert WidebandConfig(200e9, 6e9, np.int32(16)).n_subcarriers == 16
 
+    @pytest.mark.parametrize("field,build", [
+        ("n_elements", lambda count: IrsArray(count, 1e-3)),
+        ("n_subcarriers", lambda count: WidebandConfig(200e9, 6e9, count)),
+    ], ids=["irs_array", "wideband_config"])
+    def test_count_past_the_int_str_limit_is_described_by_its_bits(self, field, build):
+        # printing its digits would raise Python's int-to-str ValueError instead
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, "
+                                             "got an integer of 16610 bits$"):
+            build(-(10**5000))
+
 
 class TestSubcarrierGrid:
     def test_reference_edge_frequencies(self, cfg200):
@@ -309,6 +319,12 @@ class TestProfilesAndTypes:
         axis = Axis("x", "m", points)
         points[0] = 1.0
         assert axis.points[0] == 0.0
+
+    def test_axis_keeps_a_read_only_input_uncopied(self):
+        # a read-only array, as every sweep hands over its fresh axis, is kept as it is
+        points = np.arange(1, 2**16 + 1)
+        points.flags.writeable = False
+        assert Axis("subcarrier", "index", points).points is points
 
     def test_gain_map_leaves_its_input_writable(self):
         axes = (Axis("i", "", np.arange(3)),)

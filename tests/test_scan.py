@@ -245,7 +245,7 @@ def test_sweep_memory_beyond_its_kernel_is_its_axes_and_mask(kind, use_dam):
     axes and one bool per value, the mask of GainMap's range checks. A copy of
     the values adds 8 B per value, which fails the angle sweep and heatmap
     cases; in a subcarrier sweep it stays under the kernel's own peak, which
-    holds the frequencies, the output and the scale temporaries."""
+    holds the frequencies, the output and the chunk buffer."""
     sweep, kernel = _sweep_and_kernel(kind, use_dam)
     sweep_peak, gm = _traced_peak(sweep)
     kernel_peak, values = _traced_peak(kernel)

@@ -796,8 +796,9 @@ class TestCli:
         assert build_parser() is build_parser()
 
     def test_csv_bytes_are_pinned(self, tmp_path):
-        # CSV artifacts are a header, CRLF row ends and 17 significant digits,
-        # with integer-valued cells (element and subcarrier indices) written as "1"
+        # CSV artifacts are a header, CRLF row ends and 17 significant digits, with
+        # integer-valued cells (element and subcarrier indices) written as "1"; a
+        # gain map's axis points are their shortest round-trip reprs ("2.99", "-1.0")
         far = write_scenario(tmp_path, {**MINIMAL_FAR, "R": 4, "M": 4, "design": "dam"}, "f.json")
         near = write_scenario(
             tmp_path,
@@ -809,8 +810,9 @@ class TestCli:
             ("design", far): b"element,phase_rad,delay_s\r\n1,0,3.75e-12\r\n"
             b"2,1.5707963267948966,2.4999999999999998e-12\r\n"
             b"3,3.1415926535897931,1.2499999999999999e-12\r\n4,4.7123889803846897,0\r\n",
-            ("near-heatmap", near): b"x,y,value\r\n2.9900000000000002,-0.01,0.99982117552",
-            ("far-angle-sweep", far): b"subcarrier,direction,value\r\n1,-1,0.02646684753440",
+            ("near-heatmap", near): b"x,y,value\r\n2.99,-0.01,0.99982117552687344\r\n"
+            b"2.99,-0.005,0.99992066042413574\r\n",
+            ("far-angle-sweep", far): b"subcarrier,direction,value\r\n1,-1.0,0.02646684753440",
         }
         for (subcommand, scenario), head in expected.items():
             out = tmp_path / f"{subcommand}.csv"
@@ -1002,9 +1004,19 @@ class TestPresetsDoc:
         assert json.loads(out.read_text())["values"][i][j] == pytest.approx(float(value), abs=1e-12)
 
 
-def _savetxt_reference(subcommand: str, payload: dict) -> bytes:
-    """The CSV that ``np.savetxt`` writes for a subcommand's JSON artifact ``payload``."""
-    fmt = "%.17g"
+def _axis_text_columns(text: str) -> tuple[list[str], list[np.ndarray]]:
+    """A JSON gain-map artifact's axis names, and a column per axis of each grid
+    point's coordinate in that artifact's own text, row-major."""
+    axes = json.loads(text, parse_float=str, parse_int=str)["axes"]
+    grid = np.meshgrid(*(np.array(ax["points"], dtype=object) for ax in axes), indexing="ij")
+    return [ax["name"] for ax in axes], [g.ravel() for g in grid]
+
+
+def _savetxt_reference(subcommand: str, text: str) -> bytes:
+    """The CSV that ``np.savetxt`` writes for a subcommand's JSON artifact ``text``:
+    a gain map's axis points cell by cell in their JSON text, every other number
+    at 17 significant digits."""
+    payload, fmt = json.loads(text), "%.17g"
     if subcommand == "design":
         header = ["element", "phase_rad", "delay_s"]
         columns = [np.arange(1, len(payload["phases"]) + 1), payload["phases"], payload["delays"]]
@@ -1015,10 +1027,9 @@ def _savetxt_reference(subcommand: str, payload: dict) -> bytes:
                    np.array(list(named.values()), dtype=object)]
         fmt = ("%s", "%.17g")
     else:
-        axes = payload["axes"]
-        header = [ax["name"] for ax in axes] + ["value"]
-        grid = np.meshgrid(*(ax["points"] for ax in axes), indexing="ij")
-        columns = [*grid, payload["values"]]
+        names, grid = _axis_text_columns(text)
+        header, columns = names + ["value"], [*grid, payload["values"]]
+        fmt = ["%s"] * len(grid) + ["%.17g"]
     buf = io.StringIO(newline="")
     np.savetxt(buf, np.column_stack([np.ravel(c) for c in columns]), fmt=fmt, delimiter=",",
                header=",".join(header), comments="", newline="\r\n")
@@ -1049,10 +1060,26 @@ class TestCsvArtifacts:
             for out, fmt in ((csv_out, "csv"), (json_out, "json")):
                 assert main([subcommand, "--scenario", str(path), "--out", str(out),
                              "--format", fmt]) == 0
-            reference = _savetxt_reference(subcommand, json.loads(json_out.read_text()))
+            reference = _savetxt_reference(subcommand, json_out.read_text())
             assert csv_out.read_bytes() == reference, subcommand
             compared.append(subcommand)
         assert len(compared) == (4 if s.n_elements == 1 else 5)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_gain_map_axis_cells_are_the_json_axis_text(self, tmp_path, name):
+        # a gain map's CSV writes each axis point as its JSON artifact does: the
+        # shortest decimal that reads back to the same number ("2.99", not
+        # "2.9900000000000002")
+        path = preset_path(name)
+        regime = load_scenario(path).regime
+        for subcommand in [s for s in _SUBCOMMANDS if s.startswith(f"{regime}-")]:
+            csv_out, json_out = tmp_path / f"{subcommand}.csv", tmp_path / f"{subcommand}.json"
+            for out, fmt in ((csv_out, "csv"), (json_out, "json")):
+                assert main([subcommand, "--scenario", str(path), "--out", str(out),
+                             "--format", fmt]) == 0
+            grid = _axis_text_columns(json_out.read_text())[1]
+            cells = [line.split(",")[:-1] for line in csv_out.read_text().splitlines()[1:]]
+            assert cells == np.column_stack(grid).tolist(), subcommand
 
     @given(st.data())
     def test_gain_map_csv_round_trip_is_bit_exact(self, tmp_path_factory, data):
@@ -1105,11 +1132,10 @@ class TestCsvWriter:
     def test_bytes_match_per_cell_reference(self, tmp_path, n, head, integer):
         # maps whose rows end inside, at and just past a block of cells
         gm = _block_edge_map(n, head, integer)
-        out = tmp_path / "map.csv"
-        write_gain_map(out, gm, "csv", {})
-        payload = {"axes": [{"name": ax.name, "points": ax.points} for ax in gm.axes],
-                   "values": gm.values}
-        assert out.read_bytes() == _savetxt_reference("far-angle-sweep", payload)
+        csv_out, json_out = tmp_path / "map.csv", tmp_path / "map.json"
+        write_gain_map(csv_out, gm, "csv", {})
+        write_gain_map(json_out, gm, "json", {})
+        assert csv_out.read_bytes() == _savetxt_reference("far-angle-sweep", json_out.read_text())
 
     def test_map_without_axes_is_its_one_value(self, tmp_path):
         out = tmp_path / "map.csv"
@@ -1120,8 +1146,9 @@ class TestCsvWriter:
     def test_memory_is_axis_strings_plus_one_block(self, tmp_path, shape):
         # The bound, from CPython's object sizes (64-bit):
         # - per axis point: its float from tolist() (24 B and an 8 B list slot),
-        #   its cell string (49 B and up to 24 + 8 chars: %.17g, then for the
-        #   last axis ",%.17g\r\n") and its list slot, with 8 B for list growth;
+        #   its cell string (49 B and up to 24 + 8 chars: its repr, at most 24
+        #   for a float or an int64, then for the last axis ",%.17g\r\n") and
+        #   its list slot, with 8 B for list growth;
         # - per cell of the block in flight (at most _BLOCK cells): the template's
         #   chars (a prefix of 25 per head axis, a tail of 32) three times (the
         #   joined tails, the prefixed template and the previous block's), the

@@ -39,7 +39,8 @@ Without ``irsbeam`` on the path it exits 2, naming ``PYTHONPATH=<checkout>/src``
 it does not add a ``src`` directory itself, so ``PYTHONPATH`` alone picks the
 version that runs.
 
-``--keep DIR`` also copies the artifacts into DIR. ``--compare OLD NEW`` reads
+``--keep DIR`` also copies the artifacts and the ``library/csv/<shape>`` maps
+(as ``library/csv/<shape>.csv``) into DIR. ``--compare OLD NEW`` reads
 two such directories and prints, for each artifact in both, the largest
 absolute difference between their numbers (``same`` when the bytes match),
 which bounds how far a version moved the artifacts that are not identical;
@@ -196,7 +197,7 @@ def library_lines() -> list[str]:
     return lines
 
 
-def csv_lines() -> list[str]:
+def csv_lines(keep: Path | None) -> list[str]:
     import numpy as np
 
     import irsbeam as ib
@@ -216,7 +217,10 @@ def csv_lines() -> list[str]:
                 ib.cli.write_gain_map(out, gm, "csv", {})
                 sha = hashlib.sha256(out.read_bytes()).hexdigest()
                 peak = max(abs(v) for v in _numbers(out)[0])
-                lines.append(f"library/csv/{'x'.join(map(str, values.shape))} {sha} {peak!r}")
+                key = f"library/csv/{'x'.join(map(str, values.shape))}"
+                lines.append(f"{key} {sha} {peak!r}")
+                if keep is not None:
+                    shutil.copyfile(out, keep / f"{key.replace('/', '__')}.csv")
     return lines
 
 
@@ -308,7 +312,8 @@ def compare_lines(old: Path, new: Path) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--keep", type=Path, help="also copy the artifacts into this directory")
+    parser.add_argument("--keep", type=Path,
+                        help="also copy the artifacts and the CSV maps into this directory")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="compare two --keep directories instead of running the presets")
     args = parser.parse_args(argv)
@@ -327,7 +332,8 @@ def main(argv=None) -> int:
             return 2
         if args.keep is not None:
             args.keep.mkdir(parents=True, exist_ok=True)
-        lines = digest_lines(args.keep) + library_lines() + csv_lines() + scenario_lines()
+        lines = (digest_lines(args.keep) + library_lines() + csv_lines(args.keep)
+                 + scenario_lines())
     print("\n".join(lines))
     return 0
 
