@@ -8,6 +8,7 @@ the shortest decimal that reads back to the same number, and every other
 number at 17 significant digits.
 JSON is streamed too, one array row at a time, in the bytes that
 ``json.dump(payload, indent=2)`` writes for the arrays as nested lists.
+Each artifact is written whole or not at all (``_write``).
 Exit codes: 0 success, 2 scenario/subcommand problem, 3 I/O failure.
 
 Each subcommand is one entry of ``_SUBCOMMANDS``: its help text and its
@@ -24,6 +25,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -49,22 +51,44 @@ _BLOCK = 256  # most cells one `%` formats: the text in flight is one block, not
 
 
 def _write(path, out_format, header, lines, payload) -> None:
-    """Write the CSV ``lines`` under ``header``, or ``payload`` as JSON.
+    """Write the CSV ``lines`` under ``header``, or ``payload`` as JSON, whole or not at all.
 
     CSV writes the header and then each string of ``lines`` as it is: one or
     more records, each ending in CRLF. JSON streams ``payload`` one array row
     at a time (``_json_chunks``), in the bytes ``json.dump(payload, indent=2)``
     writes for the arrays as nested lists, so no whole-map list of Python
     floats is built.
+
+    The text goes to a new temporary file beside ``path`` (beside its target,
+    if ``path`` is a symlink), created with ``open(..., "x")`` so that the
+    umask applies as to any new file, and ``os.replace`` moves it onto ``path``
+    once it is complete and closed. On any exception the temporary file is
+    removed and the exception re-raised, so a failed write leaves an earlier
+    artifact at ``path`` as it was, and no partial one. An existing ``path``
+    that is not a regular file, such as ``os.devnull`` or a FIFO, cannot take
+    a rename and is written directly.
     """
-    if out_format == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            fh.writelines(lines)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(_json_chunks(payload))
-            fh.write("\n")
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    temp = target if direct else f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(temp, "w" if direct else "x", newline="" if out_format == "csv" else None)
+    except OSError as exc:  # named by the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            if out_format == "csv":
+                fh.write(",".join(header) + "\r\n")
+                fh.writelines(lines)
+            else:
+                fh.writelines(_json_chunks(payload))
+                fh.write("\n")
+        if not direct:
+            os.replace(temp, target)
+    except BaseException:
+        if not direct:
+            os.unlink(temp)
+        raise
 
 
 # the stdlib encoder writes finite floats and ints by these reprs

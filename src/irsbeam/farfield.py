@@ -6,7 +6,8 @@ the package's one phase convention (see :mod:`irsbeam.model`) with the path
 phase P_r = pi (r-1) nu, i.e. the half-wavelength progression: the array
 enters only through its element count, and its spacing ``d`` is ignored until
 the ROADMAP item on honouring ``d`` lands. Angle sweeps evaluate their uniform
-grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`).
+grid by chirp-z transform (:func:`_far_grid_gain`; accuracy in :mod:`irsbeam.model`),
+under the one gain driver that also runs the kernel of every other gain.
 Both designs apply the design rules of :mod:`irsbeam.model` to the turns (r-1) nu0 / 2
 and reject a design direction nu0 that is NaN or outside [-2, 2].
 """
@@ -18,7 +19,6 @@ import numpy as np
 from .model import (
     KERNEL_CHUNK,
     TWO_PI,
-    UFUNC_BUFFER,
     DelayProfile,
     Design,
     IrsArray,
@@ -26,9 +26,7 @@ from .model import (
     WidebandConfig,
     _array_gain,
     _dam_design,
-    _element_weights,
-    _gain_scales,
-    _kernel_frequencies,
+    _gain_blocks,
     _phase_only_phases,
     checked_frequencies,
 )
@@ -89,7 +87,9 @@ def _fft_length(n: int) -> int:
 
 def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarray:
     """:func:`far_beam_gain_profile` at the directions start + step * arange(n) of
-    ``grid = (start, step, n)``, by chirp-z transforms batched over frequencies.
+    ``grid = (start, step, n)``, by chirp-z transforms batched over frequencies:
+    the second evaluator of the gain driver ``model._gain_blocks``, which checks
+    the inputs and hands it each block's scales, weights and rows of the result.
 
     With q and m counted from the array centre and from the centre nu_c of a block
     of B outputs, gain = |sum_q w_q exp(-j s nu_c q) exp(-j theta m q)|, theta = s step.
@@ -103,34 +103,30 @@ def _far_grid_gain(array, cfg, freqs_hz, grid, phases, delays=None) -> np.ndarra
     """
     start, step, n = grid
     n_elements = array.n_elements
-    freqs = _kernel_frequencies(n_elements, freqs_hz, phases, delays)
     blocks = -(-n // (max(KERNEL_CHUNK, 2 * n_elements) - n_elements + 1))
     size = -(-n // blocks)
     fft_len = _fft_length(size + n_elements - 1)
-    n_freqs = max(1, KERNEL_CHUNK // 2 // fft_len)
     q = np.arange(n_elements) - (n_elements - 1) / 2
     k2 = np.arange(2.0 - size - n_elements, size + n_elements - 1, 2.0) ** 2  # (2k)^2
-    out = np.empty((freqs.size, n))
-    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
-        np.setbufsize(UFUNC_BUFFER)
-        for f0 in range(0, freqs.size, n_freqs):
-            f = slice(f0, f0 + n_freqs)
-            scale = _gain_scales(cfg, freqs[f], np.pi)[:, None]
-            # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
-            # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
-            rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)
-            chirp = np.fft.fft(_chirp(rates, k2), fft_len)
-            weights = _element_weights(freqs[f], phases, delays) * _chirp(-rates, 4 * q * q)
-            for lo in range(0, n, size):
-                centre = start + step * (lo + (size - 1) / 2)
-                spectrum = np.fft.fft(weights * np.exp(-1j * scale * centre * q), fft_len)
-                spectrum *= chirp
-                conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
-                hi = min(lo + size, n)
-                np.abs(conv[:, : hi - lo], out=out[f, lo:hi])
-                del spectrum, conv  # free before the next block's FFTs are formed
-            del chirp
-    return out
+
+    def transforms(scale, weights, rows):
+        scale = scale[:, None]
+        # theta k^2 / 2 = pi rate (2k)^2; rate mod 2 moves theta by multiples
+        # of 16 pi, which leave every exp(-j theta m q) (m q in Z/4) unchanged
+        rates = np.fmod(scale * step / (4 * TWO_PI), 2.0)
+        chirp = np.fft.fft(_chirp(rates, k2), fft_len)
+        weights = weights * _chirp(-rates, 4 * q * q)
+        for lo in range(0, n, size):
+            centre = start + step * (lo + (size - 1) / 2)
+            spectrum = np.fft.fft(weights * np.exp(-1j * scale * centre * q), fft_len)
+            spectrum *= chirp
+            conv = np.fft.ifft(spectrum, out=spectrum)[:, n_elements - 1 :]  # numpy >= 2.0
+            hi = min(lo + size, n)
+            np.abs(conv[:, : hi - lo], out=rows[:, lo:hi])
+            del spectrum, conv  # free before the next block's FFTs are formed
+
+    return _gain_blocks(cfg, n_elements, freqs_hz, n, max(1, KERNEL_CHUNK // 2 // fft_len),
+                        np.pi, phases, delays, transforms)
 
 
 def _design_turns(array: IrsArray, direction: float) -> np.ndarray:

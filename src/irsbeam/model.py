@@ -30,11 +30,14 @@ frequency, E_r = exp(-j (1 + f/f_c) P_r) only on the frequency and the target.
 In the far field P_r is linear in r, so E_r = z^(r-1) with
 z = exp(-j pi (1 + f/f_c) nu): the array factor is a polynomial in z
 (Schelkunoff, 1943), and its powers cost one exp and R - 1 complex multiplies
-per (frequency, direction) instead of R exps. Angle sweeps skip this kernel:
-on their uniform nu grid, an arc of the unit circle, chirp-z transforms
-evaluate the polynomial in O((N + R) log(N + R)) per frequency instead of
-O(N R) (see ``farfield._far_grid_gain``). Both routes meet the Dirichlet
-closed form, and each other, within 1e-9.
+per (frequency, direction) instead of R exps. One driver, ``_gain_blocks``,
+runs every gain: it checks the inputs once, holds the (F, N) result and
+forms each block of frequencies' scales and weights, and hands them to one
+of two evaluators. ``_array_gain`` contracts w with a path factor in chunked
+matmuls. ``farfield._far_grid_gain`` serves the angle sweeps: on their
+uniform nu grid, an arc of the unit circle, chirp-z transforms evaluate the
+polynomial in O((N + R) log(N + R)) per frequency instead of O(N R). Both
+routes meet the Dirichlet closed form, and each other, within 1e-9.
 
 One design rule per remedy serves both regimes, in the path turns
 t_r = P_r / 2 pi at the design point. The phase-only design cancels the path
@@ -322,27 +325,10 @@ KERNEL_CHUNK = 2**14
 """Element evaluations per chunk of the gain kernel; bounds its temporaries."""
 
 UFUNC_BUFFER = 256
-"""numpy's ufunc buffer size, in items, inside both gain kernels (numpy's own is 8192):
-a ufunc allocates an iterator buffer of that many items for each broadcast or
-strided operand, so that a kernel writes its broadcasts as broadcasts."""
-
-
-def _kernel_frequencies(n_elements, freqs_hz, phases, delays) -> np.ndarray:
-    """Frequencies, checked and flattened; raises on a bad frequency or a profile
-    whose length is not ``n_elements``."""
-    freqs = checked_frequencies(freqs_hz).reshape(-1)
-    for kind, profile in (("phase", phases), ("delay", delays)):
-        if profile is not None and len(profile) != n_elements:
-            raise ValueError(
-                f"{kind} profile length {len(profile)} does not match array R={n_elements}"
-            )
-    return freqs
-
-
-def _gain_scales(cfg, freqs, wavenumber) -> np.ndarray:
-    """The scales s = wavenumber (1 + f/f_c) of a block of ``freqs``: formed per
-    block, so that no F-sized array lives through a kernel's loop."""
-    return wavenumber * (1.0 + freqs / cfg.carrier_hz)
+"""numpy's ufunc buffer size, in items, inside the gain driver ``_gain_blocks``
+(numpy's own is 8192): a ufunc allocates an iterator buffer of that many items
+for each broadcast or strided operand, so that an evaluator writes its
+broadcasts as broadcasts."""
 
 
 def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -> np.ndarray:
@@ -351,7 +337,7 @@ def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -
     The exponent is formed in the imaginary half of the zeroed result and the exp
     taken in place, so beside the result a call holds no (F, R) temporary: only
     the iterator buffer of a broadcast ufunc, one at a time, of numpy's buffer
-    size: inside the kernels ``UFUNC_BUFFER`` items, elsewhere up to 64 KiB.
+    size: inside the gain driver ``UFUNC_BUFFER`` items, elsewhere up to 64 KiB.
     """
     weights = np.zeros((1 if delays is None else freqs.size, len(phases)), np.complex128)
     exponent = weights.imag
@@ -362,54 +348,74 @@ def _element_weights(freqs, phases: PhaseProfile, delays: DelayProfile | None) -
     return np.exp(weights, out=weights)
 
 
-def _array_gain(
-    cfg: WidebandConfig,
-    n_elements: int,
-    freqs_hz,
-    n_targets: int,
-    path_factor,
-    wavenumber: float,
-    phases: PhaseProfile,
-    delays: DelayProfile | None = None,
-) -> np.ndarray:
-    """The beam gain of the module docstring on an (F, N) frequency x target grid.
+def _gain_blocks(cfg, n_elements, freqs_hz, n_targets, n_freqs, wavenumber, phases, delays,
+                 evaluate) -> np.ndarray:
+    """The (F, N) gain of every evaluator, run block by block of frequencies.
 
-    gain[f, n] = |sum_r w[f, r] E[f, n, r]|. The weights w are computed once
-    per block of frequencies: R exps, or R per frequency with a delay profile.
-    ``path_factor(lo, hi, s, out)`` writes E of targets lo..hi-1 at the scales
-    s = wavenumber (1 + f/f_c) of the block into ``out``, shape
+    It checks the frequencies and raises on a profile whose length is not
+    ``n_elements``, before it allocates anything. Then for each block of
+    ``n_freqs`` frequencies it calls ``evaluate(s, w, rows)`` with the block's
+    scales s = wavenumber (1 + f/f_c), its element weights w
+    (``_element_weights``) and its rows of the result, which the call fills.
+    The scales and the weights are released when the call returns, so one
+    block's are held at a time and no F-sized array lives through the loop.
+    The blocks run with numpy's ufunc buffer size set to ``UFUNC_BUFFER``
+    items, which leaving ``np.errstate`` restores, also when ``evaluate``
+    raises: each broadcast or strided operand then takes an iterator buffer of
+    2 or 4 KiB, not 64 or 128.
+    """
+    freqs = checked_frequencies(freqs_hz).reshape(-1)
+    for kind, profile in (("phase", phases), ("delay", delays)):
+        if profile is not None and len(profile) != n_elements:
+            raise ValueError(
+                f"{kind} profile length {len(profile)} does not match array R={n_elements}"
+            )
+    out = np.empty((freqs.size, n_targets))
+    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
+        np.setbufsize(UFUNC_BUFFER)
+        for f0 in range(0, freqs.size, n_freqs):
+            block = freqs[f0 : f0 + n_freqs]
+            evaluate(wavenumber * (1.0 + block / cfg.carrier_hz),
+                     _element_weights(block, phases, delays), out[f0 : f0 + n_freqs])
+    return out
+
+
+def _array_gain(cfg: WidebandConfig, n_elements: int, freqs_hz, n_targets: int, path_factor,
+                wavenumber: float, phases: PhaseProfile,
+                delays: DelayProfile | None = None) -> np.ndarray:
+    """The beam gain of the module docstring on an (F, N) frequency x target grid,
+    by chunked matmuls over a path factor, one evaluator of ``_gain_blocks``.
+
+    gain[f, n] = |sum_r w[f, r] E[f, n, r]|, with the weights w of each block of
+    frequencies. ``path_factor(lo, hi, s, out)`` writes E of targets lo..hi-1 at
+    the scales s = wavenumber (1 + f/f_c) of the block into ``out``, shape
     (len(s), hi - lo, R): the powers of z = exp(-j s nu) in the far field
     (wavenumber pi), exp(-j 2 pi s d) of the exact distances d in the near field
     (wavenumber f_c / c, in turns per meter). Each chunk contracts
     E with w in one matmul and holds about KERNEL_CHUNK element evaluations:
     a block of targets, and for short blocks several frequencies.
 
-    Per call the kernel holds the (F, N) result and one complex chunk buffer,
-    16 B per evaluation, that every chunk's ``out`` shares: a fresh one per
-    chunk is often handed back to the OS on release and page-faulted in again
-    by the next chunk. Per block of frequencies it holds the scales and the
-    weights, one block's at a time, per chunk the matmul product and its
-    modulus, a few values per target. Anything more is the path factor's. The
-    chunks run with numpy's ufunc buffer size set to ``UFUNC_BUFFER`` items,
-    which leaving ``np.errstate`` restores: each broadcast or strided ufunc
-    operand then takes an iterator buffer of 2 or 4 KiB, not 64 or 128, so a
-    path factor writes its broadcasts as broadcasts.
+    Beside what ``_gain_blocks`` holds, the (F, N) result and one block's scales
+    and weights, a call holds one complex chunk buffer, 16 B per evaluation,
+    that every chunk's ``out`` shares: a fresh one per chunk is often handed back
+    to the OS on release and page-faulted in again by the next chunk. It is
+    allocated at the first block, the largest, once the inputs are checked. Per
+    chunk the call holds the matmul product and its modulus, a few values per
+    target. Anything more is the path factor's.
     """
-    freqs = _kernel_frequencies(n_elements, freqs_hz, phases, delays)
-    out = np.empty((freqs.size, n_targets))
     n_rows = max(1, min(n_targets, KERNEL_CHUNK // n_elements))
     n_freqs = max(1, KERNEL_CHUNK // (n_rows * n_elements))
-    buf = np.empty(min(n_freqs, freqs.size) * n_rows * n_elements, np.complex128)
-    with np.errstate():  # restores the caller's buffer size on leaving (numpy >= 2.0)
-        np.setbufsize(UFUNC_BUFFER)
-        for f0 in range(0, freqs.size, n_freqs):
-            f = slice(f0, f0 + n_freqs)
-            s = _gain_scales(cfg, freqs[f], wavenumber)
-            weights = _element_weights(freqs[f], phases, delays)[..., None]
-            for lo in range(0, n_targets, n_rows):
-                hi = min(lo + n_rows, n_targets)
-                factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)
-                path_factor(lo, hi, s, factor)
-                out[f, lo:hi] = np.abs(np.matmul(factor, weights)[..., 0])
-            del weights  # free before the next block's weights are formed
-    return out
+    buf = None
+
+    def contract(s, weights, rows):
+        nonlocal buf
+        if buf is None:  # the first block is the largest
+            buf = np.empty(s.size * n_rows * n_elements, np.complex128)
+        for lo in range(0, n_targets, n_rows):
+            hi = min(lo + n_rows, n_targets)
+            factor = buf[: s.size * (hi - lo) * n_elements].reshape(s.size, hi - lo, n_elements)
+            path_factor(lo, hi, s, factor)
+            rows[:, lo:hi] = np.abs(np.matmul(factor, weights[..., None])[..., 0])
+
+    return _gain_blocks(cfg, n_elements, freqs_hz, n_targets, n_freqs, wavenumber, phases,
+                        delays, contract)

@@ -28,8 +28,8 @@ Beside the kernel's complex chunk buffer, a call allocates one float chunk
 buffer, 8 B per evaluation, for the turns. A chunk's distances and the squared
 x offsets of its rows are formed in the two float halves of the complex
 buffer, free until the phasors are written, and the turns are broadcast from
-them. The kernel caps numpy's iterator buffer of each broadcast operand at
-``UFUNC_BUFFER`` items (:func:`irsbeam.model._array_gain`). Per chunk only
+them. The gain driver caps numpy's iterator buffer of each broadcast operand at
+``UFUNC_BUFFER`` items (:func:`irsbeam.model._gain_blocks`). Per chunk only
 arrays of a few values per target are made: each cell's row index and y, and
 its (y - y_0)^2.
 Both designs apply the design rules of :mod:`irsbeam.model` to the path turns

@@ -254,6 +254,16 @@ def test_sweep_memory_beyond_its_kernel_is_its_axes_and_mask(kind, use_dam):
     assert sweep_peak - kernel_peak <= axes + gm.values.size, (sweep_peak, kernel_peak, axes)
 
 
+@pytest.mark.parametrize("use_dam", [False, True], ids=["phases_only", "dam"])
+@pytest.mark.parametrize("kind", ["far_subcarrier", "near_subcarrier"])
+def test_subcarrier_sweep_values_are_a_view_of_the_kernel_output(kind, use_dam):
+    """A subcarrier sweep's map keeps the (M, 1) kernel output's column as it
+    is, a view: a copy, which the memory test above cannot see in these two
+    sweeps, owns its values and has no base."""
+    gm = _sweep_and_kernel(kind, use_dam)[0]()
+    assert gm.values.base is not None and gm.values.base.shape == (gm.values.size, 1)
+
+
 class TestLocationHeatmap:
     def test_highest_subcarrier_shorthand_agrees_with_angle_sweep(
         self, geometry64, array64, cfg200

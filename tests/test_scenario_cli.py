@@ -1,10 +1,12 @@
 import argparse
+import errno
 import io
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -846,6 +848,54 @@ class TestCli:
                      "--out", str(tmp_path / "no_dir" / "x.json")])
         assert code == 3
 
+    def test_unwritable_output_names_the_path_asked_for(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, MINIMAL_FAR)
+        out = tmp_path / "no_dir" / "x.csv"
+        assert main(["design", "--scenario", str(scenario), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+
+    @pytest.mark.parametrize("out_format,writer", [("csv", "_grid_lines"),
+                                                   ("json", "_json_chunks")])
+    def test_failed_write_leaves_the_earlier_artifact(self, tmp_path, monkeypatch,
+                                                      out_format, writer):
+        # the CSV records, or the JSON text, fail after their first block, as on
+        # a full disk; the run exits 3, the earlier run's complete artifact stays
+        # byte for byte, and no temporary file is left beside it. M = 1000 makes
+        # the first CSV block 256 of 1000 records.
+        scenario = write_scenario(tmp_path, {**MINIMAL_FAR, "M": 1000})
+        out = tmp_path / "out" / f"sweep.{out_format}"
+        out.parent.mkdir()
+        argv = ["far-subcarrier-sweep", "--scenario", str(scenario), "--out", str(out),
+                "--format", out_format]
+        assert main(argv) == 0
+        before = out.read_bytes()
+        real = getattr(irsbeam.cli, writer)
+
+        def first_block_then_fail(*args):
+            blocks = real(*args)
+            yield next(blocks)
+            raise OSError(errno.EFBIG, "File too large")
+
+        monkeypatch.setattr(irsbeam.cli, writer, first_block_then_fail)
+        assert main(argv) == 3
+        assert out.read_bytes() == before
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
+    def test_output_that_is_not_a_regular_file_is_written_directly(self, tmp_path):
+        scenario = write_scenario(tmp_path, MINIMAL_FAR)
+        argv = ["far-subcarrier-sweep", "--scenario", str(scenario), "--out"]
+        assert main(argv + [os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        # a symlink keeps pointing at its target, which takes the new artifact
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(argv + [str(link)]) == 0
+        assert link.is_symlink() and target.read_text().startswith("subcarrier,value\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [scenario.name, target.name, link.name])
+
     def test_csv_reparse_reproduces_metrics_exactly(self, tmp_path):
         # 17 significant digits round-trip float64 exactly, so metrics computed
         # from the re-parsed artifact must match the in-memory ones bit for bit
@@ -916,6 +966,28 @@ class TestCli:
         assert proc.stdout.splitlines() == [
             "fig3/design.csv same", "fig3/metrics.csv missing", "fig4/design.csv added",
         ]
+
+    def test_ab_reports_an_a_a_run_of_one_op(self):
+        # the plumbing only: this tree against itself, one op, two passes, and
+        # no assertion on a time or a ratio
+        key = "sf-near-R16-phases_only-1"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
+             "--workload", "squint-fan", "--seed", "1", "--seconds", "0", "--passes", "2",
+             "--op", key],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 4 and lines[1].startswith(key) and lines[2].startswith("whole pass")
+        report = json.loads(lines[-1])
+        spread = {"old_s", "new_s", "median", "q1", "q3", "won", "pairs"}
+        assert (report["workload"], report["seed"], report["passes"]) == ("squint-fan", 1, 2)
+        (op,) = report["ops"]
+        assert set(op) == spread | {"key", "same"} and op["key"] == key and op["same"]
+        assert set(report["total"]) == spread
+        for s in (op, report["total"]):
+            assert s["pairs"] == 2 and 0 <= s["won"] <= 2 and s["q1"] <= s["median"] <= s["q3"]
 
     def test_code_lines_leaves_out_blanks_comments_and_bare_strings(self, tmp_path):
         fixture = tmp_path / "fixture.py"
